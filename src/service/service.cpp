@@ -1,26 +1,12 @@
 #include "service/service.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace artsparse {
-
-namespace {
-
-void count_tenant_op(const std::string& tenant, std::uint64_t delta = 1) {
-  ARTSPARSE_COUNT_L("artsparse_tenant_ops_total", "tenant", tenant, delta);
-}
-
-/// Templated over the span type: ARTSPARSE_SPAN_TYPE is NullSpan when the
-/// build compiles observability out.
-template <typename SpanT>
-void span_deadline_attr(SpanT& span, std::uint64_t deadline_ms) {
-  if (deadline_ms != 0) span.attr("deadline_ms", deadline_ms);
-}
-
-}  // namespace
 
 Service::Service(FragmentStore& store, TenantQuota default_quota)
     : store_(store), admission_(default_quota), batcher_(store) {}
@@ -36,89 +22,66 @@ std::size_t Session::result_bytes(const ReadResult& result) {
          result.coords.size() * result.coords.rank() * sizeof(index_t);
 }
 
+std::size_t Session::result_bytes(const std::vector<ReadResult>& results) {
+  std::size_t bytes = 0;
+  for (const ReadResult& result : results) bytes += result_bytes(result);
+  return bytes;
+}
+
+template <typename Op>
+auto Session::admitted(const char* span_name, SpanCount count,
+                       std::size_t payload, Op&& op) {
+  // Install the budget before admission so over-quota waits (and
+  // everything after) are bounded by the same per-op deadline.
+  const ScopedOpContext op_scope(op_context());
+  const Ticket ticket = service_->admission_.admit(tenant_, payload);
+  ARTSPARSE_SPAN_TYPE span(span_name, "service");
+  span.attr("tenant", tenant_);
+  if (deadline_ms_ != 0) span.attr("deadline_ms", deadline_ms_);
+  if (count.name != nullptr) span.attr(count.name, count.value);
+  ARTSPARSE_COUNT_L("artsparse_tenant_ops_total", "tenant", tenant_, 1);
+  auto result = op();
+  if constexpr (!std::is_same_v<decltype(result), WriteResult>) {
+    // Reads are post-paid: the bytes shipped back debit the byte quota.
+    const std::size_t bytes = result_bytes(result);
+    ARTSPARSE_COUNT_L("artsparse_tenant_read_bytes_total", "tenant", tenant_,
+                      bytes);
+    service_->admission_.charge_bytes(tenant_, bytes);
+  }
+  return result;
+}
+
 WriteResult Session::write(const CoordBuffer& coords,
                            std::span<const value_t> values, OrgKind org) {
   const std::size_t payload =
       values.size() * sizeof(value_t) +
       coords.size() * coords.rank() * sizeof(index_t);
-  // Install the budget before admission so over-quota waits (and
-  // everything after) are bounded by the same per-op deadline.
-  const ScopedOpContext op_scope(op_context());
-  const Ticket ticket = service_->admission_.admit(tenant_, payload);
-  ARTSPARSE_SPAN_TYPE span("service.write", "service");
-  span.attr("tenant", tenant_);
-  span_deadline_attr(span, deadline_ms_);
-  span.attr("points", static_cast<std::uint64_t>(coords.size()));
-  count_tenant_op(tenant_);
-  ARTSPARSE_COUNT_L("artsparse_tenant_write_bytes_total", "tenant", tenant_,
-                    payload);
-  return service_->store_.write(coords, values, org);
+  return admitted("service.write", {"points", coords.size()}, payload, [&] {
+    ARTSPARSE_COUNT_L("artsparse_tenant_write_bytes_total", "tenant", tenant_,
+                      payload);
+    return service_->store_.write(coords, values, org);
+  });
 }
 
 ReadResult Session::read(const CoordBuffer& queries) {
-  const ScopedOpContext op_scope(op_context());
-  const Ticket ticket = service_->admission_.admit(tenant_);
-  ARTSPARSE_SPAN_TYPE span("service.read", "service");
-  span.attr("tenant", tenant_);
-  span_deadline_attr(span, deadline_ms_);
-  span.attr("queries", static_cast<std::uint64_t>(queries.size()));
-  count_tenant_op(tenant_);
-  ReadResult result = service_->store_.read(queries);
-  const std::size_t bytes = result_bytes(result);
-  ARTSPARSE_COUNT_L("artsparse_tenant_read_bytes_total", "tenant", tenant_,
-                    bytes);
-  service_->admission_.charge_bytes(tenant_, bytes);
-  return result;
+  return admitted("service.read", {"queries", queries.size()}, 0,
+                  [&] { return service_->store_.read(queries); });
 }
 
 ReadResult Session::read_region(const Box& region) {
-  const ScopedOpContext op_scope(op_context());
-  const Ticket ticket = service_->admission_.admit(tenant_);
-  ARTSPARSE_SPAN_TYPE span("service.read_region", "service");
-  span.attr("tenant", tenant_);
-  span_deadline_attr(span, deadline_ms_);
-  count_tenant_op(tenant_);
-  ReadResult result = service_->store_.read_region(region);
-  const std::size_t bytes = result_bytes(result);
-  ARTSPARSE_COUNT_L("artsparse_tenant_read_bytes_total", "tenant", tenant_,
-                    bytes);
-  service_->admission_.charge_bytes(tenant_, bytes);
-  return result;
+  return admitted("service.read_region", {}, 0,
+                  [&] { return service_->store_.read_region(region); });
 }
 
 ReadResult Session::scan(const Box& region) {
-  const ScopedOpContext op_scope(op_context());
-  const Ticket ticket = service_->admission_.admit(tenant_);
-  ARTSPARSE_SPAN_TYPE span("service.scan", "service");
-  span.attr("tenant", tenant_);
-  span_deadline_attr(span, deadline_ms_);
-  count_tenant_op(tenant_);
-  ReadResult result = service_->batcher_.scan(region);
-  const std::size_t bytes = result_bytes(result);
-  ARTSPARSE_COUNT_L("artsparse_tenant_read_bytes_total", "tenant", tenant_,
-                    bytes);
-  service_->admission_.charge_bytes(tenant_, bytes);
-  return result;
+  return admitted("service.scan", {}, 0,
+                  [&] { return service_->batcher_.scan(region); });
 }
 
 std::vector<ReadResult> Session::scan_batch(std::span<const Box> regions) {
-  const ScopedOpContext op_scope(op_context());
-  const Ticket ticket = service_->admission_.admit(tenant_);
-  ARTSPARSE_SPAN_TYPE span("service.scan_batch", "service");
-  span.attr("tenant", tenant_);
-  span_deadline_attr(span, deadline_ms_);
-  span.attr("regions", static_cast<std::uint64_t>(regions.size()));
-  count_tenant_op(tenant_);
-  std::vector<ReadResult> results =
-      service_->store_.snapshot().scan_batch(regions);
-  std::size_t bytes = 0;
-  for (const ReadResult& result : results) {
-    bytes += result_bytes(result);
-  }
-  ARTSPARSE_COUNT_L("artsparse_tenant_read_bytes_total", "tenant", tenant_,
-                    bytes);
-  service_->admission_.charge_bytes(tenant_, bytes);
-  return results;
+  return admitted("service.scan_batch", {"regions", regions.size()}, 0, [&] {
+    return service_->store_.snapshot().scan_batch(regions);
+  });
 }
 
 Snapshot Session::snapshot() const { return service_->store_.snapshot(); }

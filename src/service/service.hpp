@@ -102,6 +102,22 @@ class Session {
 
   /// Bytes a result ships back to the client (coords + values).
   static std::size_t result_bytes(const ReadResult& result);
+  static std::size_t result_bytes(const std::vector<ReadResult>& results);
+
+  /// An op's size attribute on its span ("points", "queries", "regions");
+  /// none when `name` is null.
+  struct SpanCount {
+    const char* name = nullptr;
+    std::uint64_t value = 0;
+  };
+
+  /// The path every operation takes: installs op_context(), admits with
+  /// `payload` bytes prepaid, opens the `span_name` span with the tenant,
+  /// deadline and `count` attributes, counts the tenant op, runs `op`, and
+  /// charges a read's result bytes to the tenant afterwards.
+  template <typename Op>
+  auto admitted(const char* span_name, SpanCount count, std::size_t payload,
+                Op&& op);
 
   /// The budget every operation installs (ScopedOpContext) before
   /// admission: fresh deadline from deadline_ms_ plus the session token.

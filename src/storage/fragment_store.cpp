@@ -76,6 +76,36 @@ void check_budget(const OpContext& ctx) {
   }
 }
 
+/// The scan paths' kernel: the organization's native box scan.
+void box_scan(const SparseFormat& format, const Box& region,
+              CoordBuffer& points, std::vector<std::size_t>& slots) {
+  format.scan_box(region, points, slots);
+}
+
+/// A read's share of the cache's pinned-bytes gauge: every fragment the
+/// read resolved stays counted until the read returns, a kStrict throw
+/// out of the fan-out included.
+class PinnedBytes {
+ public:
+  explicit PinnedBytes(FragmentCache& cache) : cache_(cache) {}
+  PinnedBytes(const PinnedBytes&) = delete;
+  PinnedBytes& operator=(const PinnedBytes&) = delete;
+  ~PinnedBytes() {
+    const std::int64_t total = total_.load(std::memory_order_relaxed);
+    if (total != 0) cache_.add_pinned(-total);
+  }
+
+  void add(std::size_t bytes) {
+    const auto delta = static_cast<std::int64_t>(bytes);
+    total_.fetch_add(delta, std::memory_order_relaxed);
+    cache_.add_pinned(delta);
+  }
+
+ private:
+  FragmentCache& cache_;
+  std::atomic<std::int64_t> total_{0};
+};
+
 /// Errnos whose persistence on the commit path degrades the store: the
 /// capacity class (ENOSPC/EDQUOT) plus EIO (failing device).
 bool degradation_eligible(int error_number) {
@@ -97,15 +127,16 @@ const char* to_string(StoreHealth health) {
   return "?";
 }
 
-/// Per-fragment partial result, produced independently by one fan-out
-/// worker and merged on the caller in hit order (= fragment write order),
-/// which keeps results byte-identical to the sequential loop they replaced.
 struct Snapshot::Partial {
-  std::vector<std::size_t> found_query;  ///< read(): query index per hit
-  CoordBuffer found_coords;              ///< scan paths: hit coordinates
-  std::vector<value_t> found_values;
+  const ManifestEntry* entry = nullptr;
+  std::vector<std::size_t> wanters;  ///< regions that discovered it, ascending
+  /// Hits of every wanter, wanter after wanter: wanter k's are
+  /// [ends[k-1], ends[k]), searched in query[k] seconds.
+  CoordBuffer coords;
+  std::vector<value_t> values;
+  std::vector<std::size_t> ends;
+  std::vector<double> query;
   double extract = 0.0;  ///< fragment load + decode (0 on a cache hit)
-  double query = 0.0;    ///< organization-specific search
   bool cache_hit = false;
   bool skipped = false;     ///< kSkip policy dropped this fragment
   std::string skip_error;   ///< why (IoError / FormatError message)
@@ -116,112 +147,180 @@ struct Snapshot::Partial {
 // immutable entry list, so no locking against writers is ever needed.
 // ---------------------------------------------------------------------------
 
-ReadResult Snapshot::read(const CoordBuffer& queries) const {
-  ReadResult result;
-  if (queries.empty()) {
-    result.coords = CoordBuffer(shape_.rank());
-    return result;
+std::vector<ReadResult> Snapshot::run(std::span<const Box> regions,
+                                      const std::optional<ValueRange>& range,
+                                      const Kernel& kernel) const {
+  const std::size_t rank = shape_.rank();
+  std::vector<ReadResult> results(regions.size());
+
+  // Discover per region (Algorithm 3 line 4: pure in-memory work against
+  // the pinned manifest), pruning on value statistics under a predicate.
+  // Coalesce as we go: a fragment gets one Partial however many regions
+  // overlap it, found through its position in the manifest.
+  const ManifestEntry* const first_entry = manifest_->entries().data();
+  std::vector<std::size_t> slot_of(manifest_->fragment_count(), kNotFound);
+  std::vector<Partial> partials;
+  std::vector<std::vector<std::size_t>> region_slots(regions.size());
+  std::size_t touches = 0;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    detail::require(regions[r].rank() == rank,
+                    "region rank does not match store shape");
+    ARTSPARSE_COUNT("artsparse_read_queries_total", 1);
+    WallTimer timer;
+    std::vector<const ManifestEntry*> hits = manifest_->discover(regions[r]);
+    if (range) {
+      std::erase_if(hits, [&](const ManifestEntry* entry) {
+        return !range->overlaps(entry->value_min, entry->value_max);
+      });
+    }
+    results[r].times.discover = timer.seconds();
+    results[r].fragments_visited = hits.size();
+    touches += hits.size();
+    for (const ManifestEntry* entry : hits) {
+      std::size_t& slot =
+          slot_of[static_cast<std::size_t>(entry - first_entry)];
+      if (slot == kNotFound) {
+        slot = partials.size();
+        partials.emplace_back().entry = entry;
+      }
+      partials[slot].wanters.push_back(r);
+      region_slots[r].push_back(slot);
+    }
   }
-  detail::require(queries.rank() == shape_.rank(),
-                  "query rank does not match store shape");
+  ARTSPARSE_COUNT("artsparse_batch_fragments_total", partials.size());
+  ARTSPARSE_COUNT("artsparse_batch_fragments_coalesced_total",
+                  touches - partials.size());
 
-  ARTSPARSE_SPAN_TYPE read_span("store.read", "read");
-  read_span.attr("queries", static_cast<std::uint64_t>(queries.size()));
-  ARTSPARSE_COUNT("artsparse_read_queries_total", 1);
-  ARTSPARSE_COUNT("artsparse_read_points_total", queries.size());
-
-  // Find all fragments containing b_coor (line 4): bounding-box overlap.
-  WallTimer timer;
-  const Box query_box = Box::bounding(queries);
-  const std::vector<const ManifestEntry*> hits =
-      manifest_->discover(query_box);
-  result.times.discover = timer.seconds();
-  result.fragments_visited = hits.size();
-
-  // Per fragment: resolve through the cache, search, collect <query, value>
-  // (lines 6-11) — one independent worker per fragment. Under kSkip a
-  // fragment that fails to load or decode — or whose turn comes after the
+  // One worker per unique fragment (lines 6-11): resolve through the cache,
+  // then search it for every region that wants it. Under kSkip a fragment
+  // that fails to load or decode — or whose turn comes after the
   // operation's deadline/cancel budget is gone — is dropped and reported
-  // instead of failing the whole query.
+  // instead of failing the whole read.
   const OpContext budget = current_op_context();
-  std::vector<Partial> partials(hits.size());
+  PinnedBytes pinned(*cache_);
   parallel_for_each(
-      hits.size(),
-      [&](std::size_t i) {
-        Partial& partial = partials[i];
+      partials.size(),
+      [&](std::size_t s) {
+        Partial& partial = partials[s];
         try {
           check_budget(budget);
-          const FragmentCache::Lookup lookup =
-              cache_->get(hits[i]->cache_key, hits[i]->path(), model_);
+          const FragmentCache::Lookup lookup = cache_->get(
+              partial.entry->cache_key, partial.entry->path(), model_);
           partial.extract = lookup.load_seconds;
           partial.cache_hit = lookup.hit;
-
-          // Organization-specific existence search (line 9).
-          WallTimer search_timer;
           const OpenFragment& fragment = *lookup.fragment;
-          const std::vector<std::size_t> slots =
-              fragment.format->read(queries);
-          for (std::size_t q = 0; q < slots.size(); ++q) {
-            if (slots[q] != kNotFound) {
-              detail::require(slots[q] < fragment.values.size(),
+          pinned.add(fragment.memory_bytes);
+          partial.coords = CoordBuffer(rank);
+          CoordBuffer points(rank);
+          std::vector<std::size_t> slots;
+          for (const std::size_t r : partial.wanters) {
+            WallTimer timer;
+            points.clear();
+            slots.clear();
+            kernel(*fragment.format, regions[r], points, slots);
+            detail::require(points.size() == slots.size(),
+                            "format returned points/slots length mismatch");
+            for (std::size_t k = 0; k < slots.size(); ++k) {
+              detail::require(slots[k] < fragment.values.size(),
                               "format returned slot beyond value buffer");
-              partial.found_query.push_back(q);
-              partial.found_values.push_back(fragment.values[slots[q]]);
+              const value_t value = fragment.values[slots[k]];
+              if (range && !range->matches(value)) continue;
+              partial.coords.append(points.point(k));
+              partial.values.push_back(value);
             }
+            partial.ends.push_back(partial.values.size());
+            partial.query.push_back(timer.seconds());
+            ARTSPARSE_OBSERVE_L("artsparse_format_read_ns", "org",
+                                to_string(fragment.org),
+                                partial.query.back() * 1e9);
           }
-          partial.query = search_timer.seconds();
-          ARTSPARSE_OBSERVE_L("artsparse_format_read_ns", "org",
-                              to_string(fragment.org), partial.query * 1e9);
         } catch (const Error& e) {
           if (fault_policy_ == ReadFaultPolicy::kStrict) throw;
-          partial = Partial{};
           partial.skipped = true;
           partial.skip_error = e.what();
         }
       },
       0, kFragmentGrain);
 
-  // Merge partials in hit order — identical to the sequential loop's
-  // concatenation order — then sort by linear address (lines 12-13).
-  std::vector<std::size_t> found_query;
-  std::vector<value_t> found_value;
-  for (std::size_t i = 0; i < partials.size(); ++i) {
-    const Partial& partial = partials[i];
-    if (partial.skipped) {
-      ARTSPARSE_COUNT("artsparse_read_fragments_skipped_total", 1);
-      result.skipped.push_back(
-          SkippedFragment{hits[i]->path(), partial.skip_error});
-      continue;
+  // Merge each region's partials in its own hit order (= fragment write
+  // order), then stable-sort by linear address (lines 12-13). A fragment's
+  // k-th wanter in region order is region_slots' k-th visit to it. Cache
+  // accounting per region: the first wanter of a freshly loaded fragment
+  // records the miss and its load time; the rest see the hit a sequential
+  // replay through a warm cache would.
+  std::vector<std::size_t> visits(partials.size(), 0);
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    ReadResult& result = results[r];
+    std::vector<index_t> flat;
+    std::vector<value_t> values;
+    for (const std::size_t s : region_slots[r]) {
+      const Partial& partial = partials[s];
+      const std::size_t k = visits[s]++;
+      if (partial.skipped) {
+        ARTSPARSE_COUNT("artsparse_read_fragments_skipped_total", 1);
+        result.skipped.push_back(
+            SkippedFragment{partial.entry->path(), partial.skip_error});
+        continue;
+      }
+      ARTSPARSE_COUNT("artsparse_read_fragments_resolved_total", 1);
+      if (!partial.cache_hit && k == 0) {
+        ++result.times.cache_misses;
+        result.times.extract += partial.extract;
+      } else {
+        ++result.times.cache_hits;
+      }
+      result.times.query += partial.query[k];
+      const std::size_t begin = k == 0 ? 0 : partial.ends[k - 1];
+      const std::size_t end = partial.ends[k];
+      const std::span<const index_t> coords = partial.coords.flat();
+      flat.insert(flat.end(), coords.begin() + begin * rank,
+                  coords.begin() + end * rank);
+      values.insert(values.end(), partial.values.begin() + begin,
+                    partial.values.begin() + end);
     }
-    ARTSPARSE_COUNT("artsparse_read_fragments_resolved_total", 1);
-    result.times.extract += partial.extract;
-    result.times.query += partial.query;
-    ++(partial.cache_hit ? result.times.cache_hits
-                         : result.times.cache_misses);
-    found_query.insert(found_query.end(), partial.found_query.begin(),
-                       partial.found_query.end());
-    found_value.insert(found_value.end(), partial.found_values.begin(),
-                       partial.found_values.end());
-  }
 
-  timer.reset();
-  std::vector<index_t> addresses(found_query.size());
-  parallel_for_each(found_query.size(), [&](std::size_t i) {
-    addresses[i] = linearize(queries.point(found_query[i]), shape_);
-  });
-  const std::vector<std::size_t> order = sort_permutation(addresses);
-  const std::size_t rank = shape_.rank();
-  std::vector<index_t> flat(order.size() * rank);
-  std::vector<value_t> values(order.size());
-  parallel_for_each(order.size(), [&](std::size_t i) {
-    const auto point = queries.point(found_query[order[i]]);
-    std::copy(point.begin(), point.end(), flat.begin() + i * rank);
-    values[i] = found_value[order[i]];
-  });
-  result.coords = CoordBuffer(rank, std::move(flat));
-  result.values = std::move(values);
-  result.times.merge = timer.seconds();
-  return result;
+    WallTimer timer;
+    const CoordBuffer found(rank, std::move(flat));
+    std::vector<index_t> addresses(found.size());
+    parallel_for_each(found.size(), [&](std::size_t i) {
+      addresses[i] = linearize(found.point(i), shape_);
+    });
+    const std::vector<std::size_t> order = sort_permutation(addresses);
+    result.coords = found.permuted(order);
+    result.values.resize(order.size());
+    parallel_for_each(order.size(), [&](std::size_t i) {
+      result.values[i] = values[order[i]];
+    });
+    result.times.merge = timer.seconds();
+  }
+  return results;
+}
+
+ReadResult Snapshot::read(const CoordBuffer& queries) const {
+  if (queries.empty()) {
+    ReadResult result;
+    result.coords = CoordBuffer(shape_.rank());
+    return result;
+  }
+  detail::require(queries.rank() == shape_.rank(),
+                  "query rank does not match store shape");
+  ARTSPARSE_SPAN_TYPE read_span("store.read", "read");
+  read_span.attr("queries", static_cast<std::uint64_t>(queries.size()));
+  ARTSPARSE_COUNT("artsparse_read_points_total", queries.size());
+  // Discovery finds the fragments overlapping the queries' bounding box;
+  // the kernel is the organization-specific existence search (line 9).
+  const Box query_box = Box::bounding(queries);
+  const auto search = [&](const SparseFormat& format, const Box&,
+                          CoordBuffer& points,
+                          std::vector<std::size_t>& slots) {
+    const std::vector<std::size_t> found = format.read(queries);
+    for (std::size_t q = 0; q < found.size(); ++q) {
+      if (found[q] == kNotFound) continue;
+      points.append(queries.point(q));
+      slots.push_back(found[q]);
+    }
+  };
+  return std::move(run({&query_box, 1}, std::nullopt, search).front());
 }
 
 ReadResult Snapshot::read_region(const Box& region) const {
@@ -233,273 +332,23 @@ ReadResult Snapshot::read_region(const Box& region) const {
 }
 
 ReadResult Snapshot::scan_region(const Box& region) const {
-  return scan_region_where(region, ValueRange{});
+  ARTSPARSE_SPAN_TYPE scan_span("store.scan", "read");
+  return std::move(run({&region, 1}, std::nullopt, box_scan).front());
 }
 
 ReadResult Snapshot::scan_region_where(const Box& region,
                                        const ValueRange& range) const {
-  detail::require(region.rank() == shape_.rank(),
-                  "region rank does not match store shape");
   detail::require(range.min <= range.max, "value range is inverted");
-  ReadResult result;
   ARTSPARSE_SPAN_TYPE scan_span("store.scan", "read");
-  ARTSPARSE_COUNT("artsparse_read_queries_total", 1);
-  WallTimer timer;
-  // Discovery prunes on both axes: spatial overlap (R-tree backed for
-  // large manifests) and the fragment's value statistics vs the predicate.
-  std::vector<const ManifestEntry*> hits = manifest_->discover(region);
-  std::erase_if(hits, [&](const ManifestEntry* entry) {
-    return !range.overlaps(entry->value_min, entry->value_max);
-  });
-  result.times.discover = timer.seconds();
-  result.fragments_visited = hits.size();
-
-  // Native box scan per fragment, fanned out like read().
-  const OpContext budget = current_op_context();
-  std::vector<Partial> partials(hits.size());
-  parallel_for_each(
-      hits.size(),
-      [&](std::size_t i) {
-        Partial& partial = partials[i];
-        partial.found_coords = CoordBuffer(shape_.rank());
-        try {
-          check_budget(budget);
-          const FragmentCache::Lookup lookup =
-              cache_->get(hits[i]->cache_key, hits[i]->path(), model_);
-          partial.extract = lookup.load_seconds;
-          partial.cache_hit = lookup.hit;
-
-          WallTimer scan_timer;
-          const OpenFragment& fragment = *lookup.fragment;
-          std::vector<std::size_t> slots;
-          CoordBuffer scanned(shape_.rank());
-          fragment.format->scan_box(region, scanned, slots);
-          detail::require(scanned.size() == slots.size(),
-                          "scan_box points/slots length mismatch");
-          for (std::size_t k = 0; k < slots.size(); ++k) {
-            detail::require(slots[k] < fragment.values.size(),
-                            "format returned slot beyond value buffer");
-            const value_t value = fragment.values[slots[k]];
-            if (range.matches(value)) {
-              partial.found_coords.append(scanned.point(k));
-              partial.found_values.push_back(value);
-            }
-          }
-          partial.query = scan_timer.seconds();
-          ARTSPARSE_OBSERVE_L("artsparse_format_read_ns", "org",
-                              to_string(fragment.org), partial.query * 1e9);
-        } catch (const Error& e) {
-          if (fault_policy_ == ReadFaultPolicy::kStrict) throw;
-          partial = Partial{};
-          partial.skipped = true;
-          partial.skip_error = e.what();
-        }
-      },
-      0, kFragmentGrain);
-
-  CoordBuffer found(shape_.rank());
-  std::vector<value_t> values;
-  for (std::size_t i = 0; i < partials.size(); ++i) {
-    const Partial& partial = partials[i];
-    if (partial.skipped) {
-      ARTSPARSE_COUNT("artsparse_read_fragments_skipped_total", 1);
-      result.skipped.push_back(
-          SkippedFragment{hits[i]->path(), partial.skip_error});
-      continue;
-    }
-    ARTSPARSE_COUNT("artsparse_read_fragments_resolved_total", 1);
-    result.times.extract += partial.extract;
-    result.times.query += partial.query;
-    ++(partial.cache_hit ? result.times.cache_hits
-                         : result.times.cache_misses);
-    for (std::size_t k = 0; k < partial.found_coords.size(); ++k) {
-      found.append(partial.found_coords.point(k));
-    }
-    values.insert(values.end(), partial.found_values.begin(),
-                  partial.found_values.end());
-  }
-
-  timer.reset();
-  std::vector<index_t> addresses(found.size());
-  parallel_for_each(found.size(), [&](std::size_t i) {
-    addresses[i] = linearize(found.point(i), shape_);
-  });
-  const std::vector<std::size_t> order = sort_permutation(addresses);
-  const std::size_t rank = shape_.rank();
-  std::vector<index_t> flat(order.size() * rank);
-  std::vector<value_t> sorted_values(order.size());
-  parallel_for_each(order.size(), [&](std::size_t i) {
-    const auto point = found.point(order[i]);
-    std::copy(point.begin(), point.end(), flat.begin() + i * rank);
-    sorted_values[i] = values[order[i]];
-  });
-  result.coords = CoordBuffer(rank, std::move(flat));
-  result.values = std::move(sorted_values);
-  result.times.merge = timer.seconds();
-  return result;
+  return std::move(run({&region, 1}, range, box_scan).front());
 }
 
 std::vector<ReadResult> Snapshot::scan_batch(
     std::span<const Box> regions) const {
-  std::vector<ReadResult> results(regions.size());
-  if (regions.empty()) return results;
+  if (regions.empty()) return {};
   ARTSPARSE_SPAN_TYPE batch_span("store.scan_batch", "read");
   batch_span.attr("regions", static_cast<std::uint64_t>(regions.size()));
-
-  // Discover per region (pure in-memory work against the pinned
-  // manifest), recording each region's hit list in its own order.
-  std::vector<std::vector<const ManifestEntry*>> hits(regions.size());
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    detail::require(regions[r].rank() == shape_.rank(),
-                    "region rank does not match store shape");
-    ARTSPARSE_COUNT("artsparse_read_queries_total", 1);
-    WallTimer timer;
-    hits[r] = manifest_->discover(regions[r]);
-    results[r].times.discover = timer.seconds();
-    results[r].fragments_visited = hits[r].size();
-  }
-
-  // Coalesce: every fragment touched by any region is resolved exactly
-  // once, no matter how many regions overlap it. `interested` maps each
-  // unique fragment to the regions that want it, in region order.
-  std::map<const ManifestEntry*, std::size_t> slot_of;
-  std::vector<const ManifestEntry*> unique;
-  std::vector<std::vector<std::size_t>> interested;
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    for (const ManifestEntry* entry : hits[r]) {
-      const auto [it, inserted] = slot_of.try_emplace(entry, unique.size());
-      if (inserted) {
-        unique.push_back(entry);
-        interested.emplace_back();
-      }
-      interested[it->second].push_back(r);
-    }
-  }
-  ARTSPARSE_COUNT("artsparse_batch_fragments_total", unique.size());
-  std::size_t duplicate_touches = 0;
-  for (const auto& wanters : interested) {
-    duplicate_touches += wanters.size() - 1;
-  }
-  ARTSPARSE_COUNT("artsparse_batch_fragments_coalesced_total",
-                  duplicate_touches);
-
-  // One decode per unique fragment, then every interested region's box
-  // scan against the same OpenFragment. Each (fragment, region) pair gets
-  // its own Partial so assembly below can replay the exact per-region
-  // sequential merge order.
-  struct FragmentWork {
-    std::vector<Partial> per_region;  ///< parallel to interested[slot]
-    std::size_t memory_bytes = 0;     ///< pinned while the batch runs
-    bool skipped = false;
-    std::string skip_error;
-    bool cache_hit = false;
-    double extract = 0.0;
-  };
-  const OpContext budget = current_op_context();
-  std::vector<FragmentWork> work(unique.size());
-  parallel_for_each(
-      unique.size(),
-      [&](std::size_t s) {
-        FragmentWork& w = work[s];
-        w.per_region.resize(interested[s].size());
-        try {
-          check_budget(budget);
-          const FragmentCache::Lookup lookup =
-              cache_->get(unique[s]->cache_key, unique[s]->path(), model_);
-          w.cache_hit = lookup.hit;
-          w.extract = lookup.load_seconds;
-          const OpenFragment& fragment = *lookup.fragment;
-          w.memory_bytes = fragment.memory_bytes;
-          cache_->add_pinned(static_cast<std::int64_t>(w.memory_bytes));
-          for (std::size_t k = 0; k < interested[s].size(); ++k) {
-            Partial& partial = w.per_region[k];
-            partial.found_coords = CoordBuffer(shape_.rank());
-            WallTimer scan_timer;
-            std::vector<std::size_t> slots;
-            CoordBuffer scanned(shape_.rank());
-            fragment.format->scan_box(regions[interested[s][k]], scanned,
-                                      slots);
-            detail::require(scanned.size() == slots.size(),
-                            "scan_box points/slots length mismatch");
-            for (std::size_t j = 0; j < slots.size(); ++j) {
-              detail::require(slots[j] < fragment.values.size(),
-                              "format returned slot beyond value buffer");
-              partial.found_coords.append(scanned.point(j));
-              partial.found_values.push_back(fragment.values[slots[j]]);
-            }
-            partial.query = scan_timer.seconds();
-          }
-        } catch (const Error& e) {
-          if (fault_policy_ == ReadFaultPolicy::kStrict) throw;
-          w.skipped = true;
-          w.skip_error = e.what();
-        }
-      },
-      0, kFragmentGrain);
-
-  // Assemble each region exactly as scan_region would: partials in that
-  // region's own hit order, then the linear-address merge sort. Cache
-  // accounting per region: the first region that wanted a freshly loaded
-  // fragment records the miss (and its load time); the rest see a hit,
-  // which is what a sequential replay through a warm cache would observe.
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    ReadResult& result = results[r];
-    CoordBuffer found(shape_.rank());
-    std::vector<value_t> values;
-    for (const ManifestEntry* entry : hits[r]) {
-      const std::size_t s = slot_of[entry];
-      FragmentWork& w = work[s];
-      if (w.skipped) {
-        ARTSPARSE_COUNT("artsparse_read_fragments_skipped_total", 1);
-        result.skipped.push_back(SkippedFragment{entry->path(), w.skip_error});
-        continue;
-      }
-      ARTSPARSE_COUNT("artsparse_read_fragments_resolved_total", 1);
-      const std::size_t k =
-          std::find(interested[s].begin(), interested[s].end(), r) -
-          interested[s].begin();
-      const Partial& partial = w.per_region[k];
-      const bool first_wanter = interested[s].front() == r;
-      if (!w.cache_hit && first_wanter) {
-        ++result.times.cache_misses;
-        result.times.extract += w.extract;
-      } else {
-        ++result.times.cache_hits;
-      }
-      result.times.query += partial.query;
-      for (std::size_t j = 0; j < partial.found_coords.size(); ++j) {
-        found.append(partial.found_coords.point(j));
-      }
-      values.insert(values.end(), partial.found_values.begin(),
-                    partial.found_values.end());
-    }
-
-    WallTimer timer;
-    std::vector<index_t> addresses(found.size());
-    parallel_for_each(found.size(), [&](std::size_t i) {
-      addresses[i] = linearize(found.point(i), shape_);
-    });
-    const std::vector<std::size_t> order = sort_permutation(addresses);
-    const std::size_t rank = shape_.rank();
-    std::vector<index_t> flat(order.size() * rank);
-    std::vector<value_t> sorted_values(order.size());
-    parallel_for_each(order.size(), [&](std::size_t i) {
-      const auto point = found.point(order[i]);
-      std::copy(point.begin(), point.end(), flat.begin() + i * rank);
-      sorted_values[i] = values[order[i]];
-    });
-    result.coords = CoordBuffer(rank, std::move(flat));
-    result.values = std::move(sorted_values);
-    result.times.merge = timer.seconds();
-  }
-
-  // Release the batch's pin accounting.
-  for (const FragmentWork& w : work) {
-    if (w.memory_bytes != 0) {
-      cache_->add_pinned(-static_cast<std::int64_t>(w.memory_bytes));
-    }
-  }
-  return results;
+  return run(regions, std::nullopt, box_scan);
 }
 
 // ---------------------------------------------------------------------------
@@ -718,27 +567,10 @@ WriteResult FragmentStore::write_locked(const CoordBuffer& coords,
   return result;
 }
 
-ReadResult FragmentStore::read(const CoordBuffer& queries) const {
-  return snapshot().read(queries);
-}
-
-ReadResult FragmentStore::read_region(const Box& region) const {
-  return snapshot().read_region(region);
-}
-
-ReadResult FragmentStore::scan_region(const Box& region) const {
-  return snapshot().scan_region(region);
-}
-
-ReadResult FragmentStore::scan_region_where(const Box& region,
-                                            const ValueRange& range) const {
-  return snapshot().scan_region_where(region, range);
-}
-
 WriteResult FragmentStore::consolidate(std::optional<OrgKind> org) {
   const MutexLock lock(writer_mutex_);
   ensure_writable_locked();
-  // Merge from a pinned snapshot of the current generation. Reads here are
+  // Merge from a pinned snapshot of the current generation. The read is
   // always strict: merging must never silently drop data before the old
   // fragments are obsoleted.
   const std::shared_ptr<const Manifest> manifest = current_manifest();
@@ -746,47 +578,22 @@ WriteResult FragmentStore::consolidate(std::optional<OrgKind> org) {
   consolidate_span.attr(
       "fragments", static_cast<std::uint64_t>(manifest->fragment_count()));
   ARTSPARSE_COUNT("artsparse_store_consolidations_total", 1);
-  const Box whole = Box::whole(shape_);
-  const std::vector<ManifestEntry>& sources = manifest->entries();
-  std::vector<std::vector<std::pair<index_t, value_t>>> partials(
-      sources.size());
-  parallel_for_each(
-      sources.size(),
-      [&](std::size_t i) {
-        const FragmentCache::Lookup lookup =
-            cache_->get(sources[i].cache_key, sources[i].path(), model_);
-        const OpenFragment& fragment = *lookup.fragment;
-        CoordBuffer points(shape_.rank());
-        std::vector<std::size_t> slots;
-        fragment.format->scan_box(whole, points, slots);
-        auto& cells = partials[i];
-        cells.reserve(points.size());
-        for (std::size_t k = 0; k < points.size(); ++k) {
-          cells.emplace_back(linearize(points.point(k), shape_),
-                             fragment.values[slots[k]]);
-        }
-      },
-      0, kFragmentGrain);
+  const ReadResult all =
+      Snapshot(manifest, cache_, shape_, model_, ReadFaultPolicy::kStrict)
+          .scan_region(Box::whole(shape_));
 
-  std::map<index_t, value_t> cells;
-  for (const auto& partial : partials) {
-    for (const auto& [address, value] : partial) {
-      cells[address] = value;  // later fragments override: latest wins
+  // The scan is sorted by address with equal cells in write order, so the
+  // last of each run of equal coordinates is the latest write.
+  CoordBuffer coords(shape_.rank());
+  std::vector<value_t> values;
+  for (std::size_t i = 0; i < all.values.size(); ++i) {
+    if (i + 1 < all.values.size() &&
+        std::ranges::equal(all.coords.point(i), all.coords.point(i + 1))) {
+      continue;
     }
+    coords.append(all.coords.point(i));
+    values.push_back(all.values[i]);
   }
-
-  // Materialize the merged cells (ascending address order).
-  std::vector<std::pair<index_t, value_t>> ordered(cells.begin(),
-                                                   cells.end());
-  const std::size_t rank = shape_.rank();
-  std::vector<index_t> flat(ordered.size() * rank);
-  std::vector<value_t> values(ordered.size());
-  parallel_for_each(ordered.size(), [&](std::size_t i) {
-    delinearize(ordered[i].first, shape_,
-                std::span<index_t>(flat.data() + i * rank, rank));
-    values[i] = ordered[i].second;
-  });
-  CoordBuffer coords(rank, std::move(flat));
 
   OrgKind chosen;
   if (org.has_value()) {

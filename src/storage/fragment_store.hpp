@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -130,6 +131,9 @@ struct ValueRange {
 /// disk even if a later generation obsoleted them (deferred deletion via
 /// the manifest's FragmentFile handles). Snapshots are cheap — two
 /// shared_ptr copies — and safe to use from any number of threads.
+///
+/// Every read below is one call of the private engine run() (DESIGN.md
+/// §6); they differ only in their regions, predicate and kernel.
 class Snapshot {
  public:
   std::uint64_t generation() const { return manifest_->generation(); }
@@ -149,7 +153,8 @@ class Snapshot {
   ReadResult read_region(const Box& region) const;
 
   /// Region read via the formats' native box scans: touches only stored
-  /// entries, so cost tracks hits rather than region volume.
+  /// entries, so cost tracks hits rather than region volume. A one-region
+  /// scan_batch.
   ReadResult scan_region(const Box& region) const;
 
   /// scan_region restricted to values inside `range`. Fragments whose
@@ -162,9 +167,8 @@ class Snapshot {
   /// fragment touched by any of the regions is resolved through the cache
   /// and decoded at most once, then searched for every region that
   /// overlaps it. Results are byte-identical to calling scan_region per
-  /// region, in the same order. The decoded fragments are pinned in the
-  /// cache's pinned-bytes accounting for the duration of the batch. This
-  /// is the storage half of the service layer's batched read API.
+  /// region, in the same order. This is the storage half of the service
+  /// layer's batched read API.
   std::vector<ReadResult> scan_batch(std::span<const Box> regions) const;
 
  private:
@@ -178,8 +182,24 @@ class Snapshot {
         model_(model),
         fault_policy_(fault_policy) {}
 
-  /// Per-hit partial result of the fan-out read paths, merged in hit
-  /// order.
+  /// Searches one fragment for one region: appends the stored points it
+  /// finds, coordinates to `points` and value slots to `slots`.
+  using Kernel =
+      std::function<void(const SparseFormat& format, const Box& region,
+                         CoordBuffer& points, std::vector<std::size_t>& slots)>;
+
+  /// The read engine. Discovers each region's fragments (pruned on value
+  /// statistics when `range` is set), resolves each unique fragment once
+  /// through the cache (counted in its pinned bytes until the call
+  /// returns), runs `kernel` on it for every region that discovered it,
+  /// keeps the hits whose value matches `range`, and merges each region's
+  /// hits stably by linear address, fragments in write order. Applies the
+  /// snapshot's read fault policy and the ambient op budget.
+  std::vector<ReadResult> run(std::span<const Box> regions,
+                              const std::optional<ValueRange>& range,
+                              const Kernel& kernel) const;
+
+  /// One unique fragment's share of a run(), merged in hit order.
   struct Partial;
 
   std::shared_ptr<const Manifest> manifest_;
@@ -230,35 +250,51 @@ class FragmentStore {
   WriteResult write(const CoordBuffer& coords,
                     std::span<const value_t> values, OrgKind org);
 
-  /// Algorithm 3 READ for an arbitrary coordinate list.
-  ReadResult read(const CoordBuffer& queries) const;
+  /// Algorithm 3 READ for an arbitrary coordinate list. This and the three
+  /// reads below are one-shot snapshot() reads.
+  ReadResult read(const CoordBuffer& queries) const {
+    return snapshot().read(queries);
+  }
 
   /// READ over every cell of a contiguous region (the paper's read test:
   /// origin (m/2, ...), size (m/10, ...)). Faithful to Algorithm 3: one
   /// existence query per region cell.
-  ReadResult read_region(const Box& region) const;
+  ReadResult read_region(const Box& region) const {
+    return snapshot().read_region(region);
+  }
 
   /// Region read via the formats' native box scans: touches only stored
   /// entries instead of querying every cell, so cost tracks the number of
   /// hits rather than the region volume. Same results (linear-address
   /// order) as read_region.
-  ReadResult scan_region(const Box& region) const;
+  ReadResult scan_region(const Box& region) const {
+    return snapshot().scan_region(region);
+  }
 
   /// scan_region restricted to values inside `range`. Fragments whose
   /// recorded [min, max] statistics cannot intersect the range are skipped
   /// without being opened (predicate pushdown, as TileDB/HDF5 filters do).
   ReadResult scan_region_where(const Box& region,
-                               const ValueRange& range) const;
+                               const ValueRange& range) const {
+    return snapshot().scan_region_where(region, range);
+  }
 
   /// Consolidates the whole store into a single fragment (TileDB-style
-  /// compaction): reads every point from a pinned snapshot, deduplicates
-  /// cells written more than once keeping the *latest* write, rewrites
-  /// with `org` (or, when unset, whatever the advisor's balanced cost
-  /// model recommends for the merged data), and publishes a new generation
-  /// containing only the merged fragment. Concurrent readers keep
-  /// answering from the generation they pinned; the replaced fragment
-  /// files are unlinked when the last such reader finishes. Returns the
-  /// write result of the new fragment.
+  /// compaction): scans Box::whole through the read engine on a pinned
+  /// snapshot, keeps the last of each run of equal cells in the
+  /// address-sorted result (fragments merge in write order, so that is the
+  /// *latest* write), rewrites with `org` (or, when unset, whatever the
+  /// advisor's balanced cost model recommends for the merged data), and
+  /// publishes a new generation containing only the merged fragment.
+  /// Concurrent readers keep answering from the generation they pinned;
+  /// the replaced fragment files are unlinked when the last such reader
+  /// finishes. Returns the write result of the new fragment.
+  ///
+  /// The scan is always strict, whatever read_fault_policy() says: a
+  /// fragment that fails to load fails the consolidation instead of being
+  /// dropped. Like every read, it checks the ambient op budget
+  /// (ScopedOpContext) between fragments, so a caller that installed a
+  /// deadline or cancel token sees a typed error instead of a rewrite.
   WriteResult consolidate(std::optional<OrgKind> org = std::nullopt);
 
   /// Re-scans the directory, picking up fragments written by other store

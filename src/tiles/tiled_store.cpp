@@ -71,21 +71,4 @@ TiledWriteResult TiledStore::write(const CoordBuffer& coords,
   return result;
 }
 
-ReadResult TiledStore::read_region(const Box& region) const {
-  return store_.read_region(region);
-}
-
-ReadResult TiledStore::scan_region(const Box& region) const {
-  return store_.scan_region(region);
-}
-
-ReadResult TiledStore::read(const CoordBuffer& queries) const {
-  return store_.read(queries);
-}
-
-ReadResult TiledStore::scan_region_where(const Box& region,
-                                         const ValueRange& range) const {
-  return store_.scan_region_where(region, range);
-}
-
 }  // namespace artsparse

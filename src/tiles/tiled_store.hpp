@@ -62,18 +62,26 @@ class TiledStore {
                          std::span<const value_t> values);
 
   /// Region read; fragments from non-overlapping tiles are never opened.
-  ReadResult read_region(const Box& region) const;
+  ReadResult read_region(const Box& region) const {
+    return store_.read_region(region);
+  }
 
   /// Region read via native box scans (see FragmentStore::scan_region).
-  ReadResult scan_region(const Box& region) const;
+  ReadResult scan_region(const Box& region) const {
+    return store_.scan_region(region);
+  }
 
   /// Point-set read (Algorithm 3 READ semantics).
-  ReadResult read(const CoordBuffer& queries) const;
+  ReadResult read(const CoordBuffer& queries) const {
+    return store_.read(queries);
+  }
 
   /// Region read restricted to values inside `range` (predicate pushdown;
   /// see FragmentStore::scan_region_where).
   ReadResult scan_region_where(const Box& region,
-                               const ValueRange& range) const;
+                               const ValueRange& range) const {
+    return store_.scan_region_where(region, range);
+  }
 
   const TileGrid& grid() const { return grid_; }
   std::size_t fragment_count() const { return store_.fragment_count(); }

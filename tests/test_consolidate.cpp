@@ -2,7 +2,12 @@
 // semantics for cells written multiple times.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "core/linearize.hpp"
+#include "core/rng.hpp"
+#include "formats/registry.hpp"
 #include "patterns/dataset.hpp"
 #include "storage/fragment_store.hpp"
 #include "test_support.hpp"
@@ -107,6 +112,52 @@ TEST_F(ConsolidateTest, SurvivesReopen) {
   const ReadResult all = reopened.scan_region(Box::whole(shape));
   ASSERT_EQ(all.values.size(), 1u);
   EXPECT_EQ(all.values[0], expected_value(all.coords.point(0), shape));
+}
+
+TEST_F(ConsolidateTest, AllOrgsLatestWriterMatchesReference) {
+  // 40 fragments (past Manifest::kRtreeThreshold) cycling through every
+  // org, each writing random cells of a small tensor, so most cells are
+  // written several times. The reference keeps each cell's latest write.
+  const Shape shape{12, 12, 6};
+  const std::vector<OrgKind> orgs = all_org_kinds();
+  for (const OrgKind target : orgs) {
+    SCOPED_TRACE(to_string(target));
+    const std::filesystem::path dir = dir_ / to_string(target);
+    FragmentStore store(dir, shape);
+    std::map<index_t, value_t> latest;
+    Xoshiro256 rng(17);
+    for (std::size_t f = 0; f < 40; ++f) {
+      CoordBuffer coords(3);
+      std::vector<value_t> values;
+      std::set<index_t> taken;  // one write per cell within a fragment
+      for (std::size_t k = 0; k < 60; ++k) {
+        const std::vector<index_t> cell = {
+            static_cast<index_t>(rng.next_below(12)),
+            static_cast<index_t>(rng.next_below(12)),
+            static_cast<index_t>(rng.next_below(6))};
+        const index_t address = linearize(cell, shape);
+        if (!taken.insert(address).second) continue;
+        const value_t value = static_cast<value_t>(f * 1000 + k);
+        coords.append(cell);
+        values.push_back(value);
+        latest[address] = value;
+      }
+      store.write(coords, values, orgs[f % orgs.size()]);
+    }
+    ASSERT_GE(store.fragment_count(), Manifest::kRtreeThreshold);
+
+    const WriteResult merged = store.consolidate(target);
+    EXPECT_EQ(store.fragment_count(), 1u);
+    EXPECT_EQ(merged.point_count, latest.size());
+    const ReadResult all = store.scan_region(Box::whole(shape));
+    ASSERT_EQ(all.values.size(), latest.size());
+    std::size_t i = 0;
+    for (const auto& [address, value] : latest) {
+      EXPECT_EQ(linearize(all.coords.point(i), shape), address) << i;
+      EXPECT_EQ(all.values[i], value) << i;
+      ++i;
+    }
+  }
 }
 
 }  // namespace

@@ -21,6 +21,12 @@ struct RoundTripCase {
   PatternKind pattern;
 };
 
+// The ctest name carries this dump; zero padding keeps it stable.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  testing::print_zero_padded(c, os, &RoundTripCase::org, &RoundTripCase::rank,
+                             &RoundTripCase::pattern);
+}
+
 std::string case_name(const ::testing::TestParamInfo<RoundTripCase>& info) {
   std::string name = to_string(info.param.org) + "_" +
                      std::to_string(info.param.rank) + "D_" +

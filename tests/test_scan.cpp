@@ -22,6 +22,12 @@ struct ScanCase {
   PatternKind pattern;
 };
 
+// The ctest name carries this dump; zero padding keeps it stable.
+void PrintTo(const ScanCase& c, std::ostream* os) {
+  testing::print_zero_padded(c, os, &ScanCase::org, &ScanCase::rank,
+                             &ScanCase::pattern);
+}
+
 std::string case_name(const ::testing::TestParamInfo<ScanCase>& info) {
   std::string name = to_string(info.param.org) + "_" +
                      std::to_string(info.param.rank) + "D_" +

@@ -12,11 +12,13 @@
 #include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/timer.hpp"
+#include "formats/registry.hpp"
 #include "obs/metrics.hpp"
 #include "patterns/calibrate.hpp"
 #include "patterns/dataset.hpp"
 #include "service/service.hpp"
 #include "storage/fault.hpp"
+#include "storage/file_io.hpp"
 #include "storage/fragment_store.hpp"
 #include "storage/throttle.hpp"
 #include "test_support.hpp"
@@ -226,6 +228,69 @@ TEST_F(ServiceTest, ScanBatchByteIdenticalToSequential) {
   EXPECT_GT(touches, store.fragment_count());
   EXPECT_EQ(cache->stats().misses, store.fragment_count());
   std::filesystem::remove_all(store.directory());
+
+  // Past Manifest::kRtreeThreshold fragments discovery goes through the
+  // R-tree. 36 overlapping 12x12 blocks on a 10-cell pitch, every org, so
+  // cells written by up to four fragments must merge in write order.
+  FragmentStore wide(fresh_temp_dir("batch_rtree"), Shape{64, 64},
+                     DeviceModel::unthrottled(), CodecKind::kIdentity, cache);
+  const std::vector<OrgKind> orgs = all_org_kinds();
+  for (index_t i = 0; i < 36; ++i) {
+    CoordBuffer block(2);
+    for (index_t r = 0; r < 12; ++r) {
+      for (index_t c = 0; c < 12; ++c) {
+        block.append({(i % 6) * 10 + r, (i / 6) * 10 + c});
+      }
+    }
+    wide.write(block, values_for(block, static_cast<double>(i + 1)),
+               orgs[static_cast<std::size_t>(i) % orgs.size()]);
+  }
+  ASSERT_GE(wide.fragment_count(), Manifest::kRtreeThreshold);
+  const std::vector<Box> wide_regions = {
+      Box({0, 0}, {30, 30}),  Box({10, 10}, {50, 50}), Box({25, 5}, {63, 40}),
+      Box({0, 0}, {63, 63}),  Box({61, 61}, {63, 63}), Box({9, 9}, {11, 11}),
+  };
+  const auto expect_batch_matches_sequential = [&](const char* label,
+                                                   std::size_t unloadable) {
+    std::vector<ReadResult> one_by_one;
+    for (const Box& region : wide_regions) {
+      one_by_one.push_back(wide.scan_region(region));
+    }
+    cache->reset_stats();
+    const std::vector<ReadResult> batch =
+        wide.snapshot().scan_batch(wide_regions);
+    ASSERT_EQ(batch.size(), one_by_one.size()) << label;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch[i].coords, one_by_one[i].coords) << label << i;
+      EXPECT_EQ(batch[i].values, one_by_one[i].values) << label << i;
+      EXPECT_EQ(batch[i].fragments_visited, one_by_one[i].fragments_visited)
+          << label << i;
+      ASSERT_EQ(batch[i].skipped.size(), one_by_one[i].skipped.size())
+          << label << i;
+      for (std::size_t k = 0; k < batch[i].skipped.size(); ++k) {
+        EXPECT_EQ(batch[i].skipped[k].path, one_by_one[i].skipped[k].path);
+        EXPECT_EQ(batch[i].skipped[k].error, one_by_one[i].skipped[k].error);
+      }
+    }
+    // The whole-store region touches every fragment: one decode each (a
+    // load that fails is not a miss).
+    EXPECT_EQ(cache->stats().misses, wide.fragment_count() - unloadable)
+        << label;
+  };
+  expect_batch_matches_sequential("rtree region ", 0);
+
+  // kSkip with one fragment torn after open: both paths drop the same
+  // fragment with the same error and return the same points.
+  wide.set_read_fault_policy(ReadFaultPolicy::kSkip);
+  const std::string torn =
+      wide.snapshot().manifest().entries()[7].path();
+  const Bytes whole = read_file(torn);
+  write_file(torn, Bytes(whole.begin(), whole.begin() + 16));
+  expect_batch_matches_sequential("kSkip region ", 1);
+  const ReadResult everything = wide.scan_region(Box({0, 0}, {63, 63}));
+  ASSERT_EQ(everything.skipped.size(), 1u);
+  EXPECT_EQ(everything.skipped[0].path, torn);
+  std::filesystem::remove_all(wide.directory());
 }
 
 TEST_F(ServiceTest, ScanBatchPinsBytesForTheDuration) {

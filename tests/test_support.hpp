@@ -2,7 +2,12 @@
 // small helpers.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
 #include <filesystem>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -47,6 +52,23 @@ inline std::filesystem::path fresh_temp_dir(const std::string& tag) {
                     std::to_string(counter++));
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// gtest prints a parameter that has no printer as its raw bytes, and
+/// gtest_discover_tests copies that text into the ctest name. A struct's
+/// padding bytes are uninitialized, so the name would differ between two
+/// listings of one binary. This prints the same `N-byte object <..>` dump
+/// with every padding byte as zero; pass each member of `value`.
+template <typename T, typename... M>
+void print_zero_padded(const T& value, std::ostream* os, M T::*... members) {
+  std::array<unsigned char, sizeof(T)> bytes{};
+  const auto* base = reinterpret_cast<const unsigned char*>(&value);
+  (std::memcpy(bytes.data() +
+                   (reinterpret_cast<const unsigned char*>(&(value.*members)) -
+                    base),
+               &(value.*members), sizeof(M)),
+   ...);
+  ::testing::internal::PrintBytesInObjectTo(bytes.data(), bytes.size(), os);
 }
 
 }  // namespace artsparse::testing
