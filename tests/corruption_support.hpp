@@ -53,13 +53,11 @@ inline Bytes corrupt_checksum() {
   return bytes;
 }
 
-/// Class 3: GCSR row_ptr made non-monotone. The fragment is re-encoded so
-/// only the always-on load() checks can catch it.
-inline Bytes corrupt_nonmonotone_offsets() {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(OrgKind::kGcsr));
-  // Index layout (GcsrFormat::save): shape vec | bbox flag + lo + hi |
-  // rows | cols | row_ptr vec | col_ind vec.
-  BufferReader reader(fragment.index);
+/// Positions `reader` on the offset-vector length prefix of a GCSR++ or
+/// GCSC++ index. Both save the same layout: shape vec | bbox flag + lo +
+/// hi | rows | cols | ptr vec (row_ptr / col_ptr) | ind vec (col_ind /
+/// row_ind).
+inline void skip_to_offsets(BufferReader& reader) {
   reader.get_u64_vec();  // shape extents
   if (reader.get_u8() != 0) {
     reader.get_u64_vec();  // box lo
@@ -67,9 +65,34 @@ inline Bytes corrupt_nonmonotone_offsets() {
   }
   reader.get_u64();  // rows
   reader.get_u64();  // cols
-  reader.get_u64();  // row_ptr length prefix
-  // Spike the second row_ptr entry above the final one.
+}
+
+/// Class 3: GCSR++ row_ptr (or GCSC++ col_ptr) made non-monotone. The
+/// fragment is re-encoded so only the always-on load() checks can catch it.
+inline Bytes corrupt_nonmonotone_offsets(OrgKind org) {
+  Fragment fragment = decode_fragment(valid_fragment_bytes(org));
+  BufferReader reader(fragment.index);
+  skip_to_offsets(reader);
+  reader.get_u64();  // offsets length prefix
+  // Spike the second offset above the final one.
   poke_u64(fragment.index, reader.offset() + sizeof(std::uint64_t), 1000);
+  return encode_fragment(fragment);
+}
+
+inline Bytes corrupt_nonmonotone_offsets() {
+  return corrupt_nonmonotone_offsets(OrgKind::kGcsr);
+}
+
+/// A GCSR++ col_ind (or GCSC++ row_ind) entry past the minor extent.
+/// load() does not range-check minor indices, so the fragment loads and
+/// only check_invariants() can flag it.
+inline Bytes corrupt_minor_index(OrgKind org) {
+  Fragment fragment = decode_fragment(valid_fragment_bytes(org));
+  BufferReader reader(fragment.index);
+  skip_to_offsets(reader);
+  reader.get_u64_vec();  // offsets
+  reader.get_u64();      // minor index length prefix
+  poke_u64(fragment.index, reader.offset(), 1000);  // first minor index
   return encode_fragment(fragment);
 }
 

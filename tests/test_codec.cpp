@@ -13,7 +13,8 @@ namespace {
 
 Bytes words_to_bytes(const std::vector<std::uint64_t>& words) {
   Bytes out(words.size() * sizeof(std::uint64_t));
-  std::memcpy(out.data(), words.data(), out.size());
+  // memcpy with the null data() of an empty vector is undefined behaviour.
+  if (!words.empty()) std::memcpy(out.data(), words.data(), out.size());
   return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "check/issues.hpp"
 #include "check/validate.hpp"
@@ -77,13 +78,37 @@ TEST(CorruptionCorpus, BitFlipAnywhereFailsTheChecksum) {
 }
 
 TEST(CorruptionCorpus, NonMonotoneOffsetsAreRejectedByLoad) {
-  const Bytes bytes = testing::corrupt_nonmonotone_offsets();
-  // The CRC was recomputed, so the fragment itself decodes fine...
-  const Fragment fragment = decode_fragment(bytes);
-  // ...and the always-on load() contract must refuse the index.
-  EXPECT_THROW(load_format(fragment.org, fragment.index), FormatError);
-  const check::Issues issues = check_bytes(bytes, check::Depth::kStructure);
-  EXPECT_TRUE(has_rule(issues, "format.load")) << issues.summary();
+  for (OrgKind org : {OrgKind::kGcsr, OrgKind::kGcsc}) {
+    const Bytes bytes = testing::corrupt_nonmonotone_offsets(org);
+    // The CRC was recomputed, so the fragment itself decodes fine...
+    const Fragment fragment = decode_fragment(bytes);
+    // ...and the always-on load() contract must refuse the index.
+    EXPECT_THROW(load_format(fragment.org, fragment.index), FormatError)
+        << to_string(org);
+    const check::Issues issues =
+        check_bytes(bytes, check::Depth::kStructure);
+    EXPECT_TRUE(has_rule(issues, "format.load"))
+        << to_string(org) << ": " << issues.summary();
+  }
+}
+
+TEST(CorruptionCorpus, MinorIndexPastBoundIsCaughtByDeepValidation) {
+  const std::pair<OrgKind, const char*> cases[] = {
+      {OrgKind::kGcsr, "gcsr.col_ind.range"},
+      {OrgKind::kGcsc, "gcsc.row_ind.range"},
+  };
+  for (const auto& [org, rule] : cases) {
+    const Fragment fragment =
+        decode_fragment(testing::corrupt_minor_index(org));
+    // Plain load(): a paranoid load_format() would already throw.
+    auto format = make_format(org);
+    BufferReader reader(fragment.index);
+    format->load(reader);
+    check::Issues issues;
+    format->check_invariants(issues);
+    EXPECT_TRUE(has_rule(issues, rule))
+        << to_string(org) << ": " << issues.summary();
+  }
 }
 
 TEST(CorruptionCorpus, OutOfShapeCoordIsCaughtByDeepValidation) {
