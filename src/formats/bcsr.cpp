@@ -21,27 +21,16 @@ inline index_t bit_of(index_t row, index_t col) {
 
 std::vector<std::size_t> BcsrFormat::build(const CoordBuffer& coords,
                                            const Shape& shape) {
-  detail::require(coords.rank() == shape.rank(),
-                  "coordinate rank does not match shape rank");
-  shape_ = shape;
   block_row_ptr_.clear();
   block_col_.clear();
   block_bitmap_.clear();
   block_start_.clear();
   point_count_ = coords.size();
-
-  if (coords.empty()) {
-    local_box_ = Box();
-    rows_ = 0;
-    cols_ = 0;
+  if (!fit_2d(coords, shape, /*smallest_is_cols=*/false)) {
     block_row_ptr_.assign(1, 0);
     return {};
   }
 
-  local_box_ = Box::bounding(coords);
-  const Flat2D flat = local_box_.shape().flatten_2d();
-  rows_ = flat.rows;
-  cols_ = flat.cols;
   const index_t n_block_cols = (cols_ + kBlockCols - 1) / kBlockCols;
   const index_t n_block_rows = (rows_ + kBlockRows - 1) / kBlockRows;
   // Sort key packs (block id, in-block bit): needs cells * 64 to fit.
@@ -88,18 +77,6 @@ std::vector<std::size_t> BcsrFormat::build(const CoordBuffer& coords,
   }
 
   return invert_permutation(perm);
-}
-
-bool BcsrFormat::to_2d(std::span<const index_t> point, index_t& row,
-                       index_t& col) const {
-  if (point.size() != shape_.rank() || local_box_.empty() ||
-      !local_box_.contains(point)) {
-    return false;
-  }
-  const index_t address = linearize_local(point, local_box_);
-  row = address / cols_;
-  col = address % cols_;
-  return true;
 }
 
 std::size_t BcsrFormat::find_block(index_t block_row,
@@ -177,14 +154,7 @@ void BcsrFormat::scan_box(const Box& box, CoordBuffer& points,
 }
 
 void BcsrFormat::save(BufferWriter& out) const {
-  out.put_u64_vec(shape_.extents());
-  out.put_u8(local_box_.empty() ? 0 : 1);
-  if (!local_box_.empty()) {
-    out.put_u64_vec(local_box_.lo());
-    out.put_u64_vec(local_box_.hi());
-  }
-  out.put_u64(rows_);
-  out.put_u64(cols_);
+  save_2d(out);
   out.put_u64(point_count_);
   out.put_u64_vec(block_row_ptr_);
   out.put_u64_vec(block_col_);
@@ -193,34 +163,17 @@ void BcsrFormat::save(BufferWriter& out) const {
 }
 
 void BcsrFormat::load(BufferReader& in) {
-  shape_ = Shape(in.get_u64_vec());
-  local_box_ = Box();
-  if (in.get_u8() != 0) {
-    auto lo = in.get_u64_vec();
-    auto hi = in.get_u64_vec();
-    local_box_ = Box(std::move(lo), std::move(hi));
-  }
-  rows_ = in.get_u64();
-  cols_ = in.get_u64();
+  load_2d(in);
   point_count_ = in.get_u64();
   block_row_ptr_ = in.get_u64_vec();
   block_col_ = in.get_u64_vec();
   block_bitmap_ = in.get_u64_vec();
   block_start_ = in.get_u64_vec();
-  // to_2d() divides addresses by cols_ and lookup() indexes
-  // block_row_ptr_[row / 8 + 1]: the 2-D shape must tile the local box and
-  // block_row_ptr_ must have one entry per block row plus one.
-  if (local_box_.empty()) {
-    detail::require(rows_ == 0 && cols_ == 0,
-                    "BCSR 2-D shape without a local box");
-  } else {
-    detail::require(local_box_.rank() == shape_.rank(),
-                    "BCSR local box rank does not match shape rank");
-    const index_t cells = local_box_.shape().element_count();
-    detail::require(cols_ > 0 && cols_ <= cells && rows_ == cells / cols_ &&
-                        cells % cols_ == 0,
-                    "BCSR 2-D shape does not tile the local box");
-  }
+  // lookup() indexes block_row_ptr_[row / 8 + 1]: block_row_ptr_ must
+  // have one entry per block row plus one.
+  require_tiling("BCSR 2-D shape without a local box",
+                 "BCSR local box rank does not match shape rank",
+                 "BCSR 2-D shape does not tile the local box");
   const index_t n_block_rows = (rows_ + kBlockRows - 1) / kBlockRows;
   detail::require(
       block_row_ptr_.size() == static_cast<std::size_t>(n_block_rows) + 1,

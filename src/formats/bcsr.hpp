@@ -21,11 +21,11 @@
 // space O(blocks + rows/8).
 #pragma once
 
-#include "formats/format.hpp"
+#include "formats/compressed_2d.hpp"
 
 namespace artsparse {
 
-class BcsrFormat final : public SparseFormat {
+class BcsrFormat final : public Mapped2DFormat {
  public:
   static constexpr index_t kBlockRows = 8;
   static constexpr index_t kBlockCols = 8;
@@ -48,30 +48,18 @@ class BcsrFormat final : public SparseFormat {
   void check_invariants(check::Issues& issues) const override;
 
   std::size_t point_count() const override { return point_count_; }
-  const Shape& tensor_shape() const override { return shape_; }
 
   /// Structure accessors (tests).
   std::size_t block_count() const { return block_col_.size(); }
   std::span<const index_t> block_row_ptr() const { return block_row_ptr_; }
   std::span<const index_t> block_col() const { return block_col_; }
   std::span<const index_t> block_bitmap() const { return block_bitmap_; }
-  index_t rows() const { return rows_; }
-  index_t cols() const { return cols_; }
 
  private:
-  /// Original point -> (2-D row, col) within the local boundary (the
-  /// GCSR++ mapping); false when outside the boundary.
-  bool to_2d(std::span<const index_t> point, index_t& row,
-             index_t& col) const;
-
   /// Finds the block (block_row, block_col); returns its index in
   /// block_col_/bitmap_, or kNotFound.
   std::size_t find_block(index_t block_row, index_t block_col) const;
 
-  Shape shape_;
-  Box local_box_;
-  index_t rows_ = 0;
-  index_t cols_ = 0;
   std::size_t point_count_ = 0;
   std::vector<index_t> block_row_ptr_;  ///< #blockrows + 1
   std::vector<index_t> block_col_;      ///< per non-empty block

@@ -2,10 +2,9 @@
 
 #include "check/contracts.hpp"
 #include "formats/bcsr.hpp"
+#include "formats/compressed_2d.hpp"
 #include "formats/coo.hpp"
 #include "formats/csf.hpp"
-#include "formats/gcsc.hpp"
-#include "formats/gcsr.hpp"
 #include "formats/linear.hpp"
 #include "formats/sorted_coo.hpp"
 

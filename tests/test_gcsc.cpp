@@ -1,4 +1,4 @@
-#include "formats/gcsc.hpp"
+#include "formats/compressed_2d.hpp"
 
 #include <gtest/gtest.h>
 
