@@ -72,7 +72,22 @@ Shape Box::shape() const {
 }
 
 index_t Box::cell_count() const {
-  return empty() ? 0 : shape().element_count();
+  // Shape's checks in Shape's order, without building one: every extent
+  // positive first (hi-lo+1 wraps to 0 only for [0, UINT64_MAX]), then the
+  // product fits index_t.
+  index_t cells = empty() ? 0 : 1;
+  bool wrapped = false;
+  bool overflow = false;
+  for (std::size_t i = 0; i < lo_.size(); ++i) {
+    const index_t extent = hi_[i] - lo_[i] + 1;
+    wrapped |= extent == 0;
+    overflow |= __builtin_mul_overflow(cells, extent, &cells);
+  }
+  detail::require(!wrapped, "shape extents must be positive");
+  if (overflow) [[unlikely]] {
+    throw OverflowError("shape element count overflows 64-bit index space");
+  }
+  return cells;
 }
 
 bool Box::contains(std::span<const index_t> point) const {

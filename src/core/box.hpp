@@ -43,7 +43,8 @@ class Box {
   /// Dense shape of the box: extent hi-lo+1 per dimension.
   Shape shape() const;
 
-  /// Number of cells inside the box.
+  /// Number of cells inside the box, with shape()'s checks (positive
+  /// extents, then OverflowError) but no allocation.
   index_t cell_count() const;
 
   bool contains(std::span<const index_t> point) const;

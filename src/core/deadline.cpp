@@ -4,6 +4,9 @@
 #include <limits>
 #include <thread>
 
+#include "core/error.hpp"
+#include "obs/metrics.hpp"
+
 namespace artsparse {
 
 namespace {
@@ -116,6 +119,24 @@ WaitResult interruptible_sleep(double seconds, const OpContext& ctx) {
 
 WaitResult interruptible_sleep(double seconds) {
   return interruptible_sleep(seconds, current_op_context());
+}
+
+void throw_if_interrupted(WaitResult why, std::string_view cancelled,
+                          std::string_view expired, double elapsed_seconds) {
+  if (why == WaitResult::kCancelled) {
+    ARTSPARSE_COUNT("artsparse_cancelled_total", 1);
+    throw CancelledError(std::string(cancelled));
+  }
+  if (why == WaitResult::kDeadlineExpired) {
+    ARTSPARSE_COUNT("artsparse_deadline_exceeded_total", 1);
+    throw DeadlineExceededError(std::string(expired), 1, elapsed_seconds);
+  }
+}
+
+void check_op_budget(const OpContext& ctx, std::string_view cancelled,
+                     std::string_view expired) {
+  // A zero-length wait reports the budget's state without sleeping.
+  throw_if_interrupted(interruptible_sleep(0.0, ctx), cancelled, expired);
 }
 
 }  // namespace artsparse

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string_view>
 
 namespace artsparse {
 
@@ -167,5 +168,17 @@ WaitResult interruptible_sleep(double seconds, const OpContext& ctx);
 
 /// interruptible_sleep against the ambient thread context.
 WaitResult interruptible_sleep(double seconds);
+
+/// Counts and throws the typed error for an interrupted wait:
+/// CancelledError(`cancelled`) or DeadlineExceededError(`expired`, 1,
+/// `elapsed_seconds`). Returns on kCompleted.
+void throw_if_interrupted(WaitResult why, std::string_view cancelled,
+                          std::string_view expired,
+                          double elapsed_seconds = 0.0);
+
+/// throw_if_interrupted at a checkpoint between units of work: throws if
+/// `ctx` is cancelled or past its deadline; cancel wins, as in a wait.
+void check_op_budget(const OpContext& ctx, std::string_view cancelled,
+                     std::string_view expired);
 
 }  // namespace artsparse

@@ -48,10 +48,8 @@ IoError IoError::with_errno(const std::string& op, const std::string& path,
 }
 
 namespace detail {
-void require(bool condition, const std::string& message) {
-  if (!condition) {
-    throw FormatError(message);
-  }
+void throw_format_error(std::string_view message) {
+  throw FormatError(std::string(message));
 }
 }  // namespace detail
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace artsparse {
 
@@ -149,8 +150,18 @@ class StoreDegradedError : public Error {
 };
 
 namespace detail {
-/// Throws FormatError with `message` unless `condition` holds.
-void require(bool condition, const std::string& message);
+/// Throws FormatError carrying a copy of `message`. Out of line so the
+/// string construction stays off every caller's hot path.
+[[noreturn]] void throw_format_error(std::string_view message);
+
+/// Throws FormatError with `message` unless `condition` holds. A passing
+/// check is one inline branch: the message is copied only on failure, so
+/// hot paths pass string literals and allocate nothing.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] {
+    throw_format_error(message);
+  }
+}
 }  // namespace detail
 
 }  // namespace artsparse

@@ -61,21 +61,30 @@ index_t linearize_local(std::span<const index_t> point, const Box& box) {
   detail::require(point.size() == box.rank(),
                   "point rank does not match box rank");
   detail::require(box.contains(point), "point outside local bounding box");
-  const Shape local = box.shape();
-  const auto strides = local.strides();
+  box.cell_count();  // Box::shape()'s checks, without building the Shape
+  const auto lo = box.lo();
+  const auto hi = box.hi();
+  // Horner form of sum (p_i - lo_i) * stride_i: every partial sum is below
+  // the cell count just checked, so none can wrap.
   index_t address = 0;
   for (std::size_t i = 0; i < point.size(); ++i) {
-    address += (point[i] - box.lo(i)) * strides[i];
+    address = address * (hi[i] - lo[i] + 1) + (point[i] - lo[i]);
   }
   return address;
 }
 
 void delinearize_local(index_t address, const Box& box,
                        std::span<index_t> out) {
-  const Shape local = box.shape();
-  delinearize(address, local, out);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] += box.lo(i);
+  const index_t cells = box.cell_count();
+  detail::require(out.size() == box.rank(),
+                  "output rank does not match shape rank");
+  detail::require(address < cells, "linear address outside tensor shape");
+  const auto lo = box.lo();
+  const auto hi = box.hi();
+  for (std::size_t i = out.size(); i-- > 0;) {
+    const index_t extent = hi[i] - lo[i] + 1;
+    out[i] = lo[i] + address % extent;
+    address /= extent;
   }
 }
 

@@ -150,6 +150,7 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
   const MutexLock lock(mutex_);
   auto it = metrics_.find(key);
   if (it != metrics_.end()) {
+    // Once per lookup, not per point. artsparse-lint: allow(ASL007)
     artsparse::detail::require(
         it->second.kind == kind,
         "metric '" + std::string(name) + "' already registered as " +

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/deadline.hpp"
-#include "core/error.hpp"
 #include "obs/metrics.hpp"
 
 namespace artsparse {
@@ -22,14 +21,8 @@ constexpr std::chrono::milliseconds kFollowerPoll{2};
 /// cancelled or expired caller would be held hostage by a healthy leader
 /// and return a result nobody wants.
 void check_caller_budget(const OpContext& ctx) {
-  if (ctx.cancelled()) {
-    ARTSPARSE_COUNT("artsparse_cancelled_total", 1);
-    throw CancelledError("scan cancelled while batched");
-  }
-  if (ctx.expired()) {
-    ARTSPARSE_COUNT("artsparse_deadline_exceeded_total", 1);
-    throw DeadlineExceededError("deadline expired while scan was batched");
-  }
+  check_op_budget(ctx, "scan cancelled while batched",
+                  "deadline expired while scan was batched");
 }
 
 }  // namespace

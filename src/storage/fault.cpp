@@ -51,6 +51,7 @@ ParsedAction parse_action(const std::string& action) {
     char* end = nullptr;
     const unsigned long long ms = std::strtoull(ms_text.c_str(), &end, 10);
     // Leading-digit check: strtoull silently wraps "-5" to a huge value.
+    // Spec parsing runs once per install. artsparse-lint: allow(ASL007)
     detail::require(!ms_text.empty() && ms_text[0] >= '0' &&
                         ms_text[0] <= '9' && end != ms_text.c_str() &&
                         *end == '\0' && ms > 0,
@@ -63,6 +64,7 @@ ParsedAction parse_action(const std::string& action) {
   }
   char* end = nullptr;
   const long value = std::strtol(action.c_str(), &end, 10);
+  // artsparse-lint: allow(ASL007) -- spec parsing, once per install
   detail::require(end != action.c_str() && *end == '\0' && value > 0,
                   "fault spec: unknown action '" + action + "'");
   return ParsedAction{static_cast<int>(value), 0};
@@ -104,6 +106,7 @@ void FaultInjector::configure(const std::string& spec) {
     const std::size_t second =
         first == std::string::npos ? std::string::npos
                                    : directive.find(':', first + 1);
+    // artsparse-lint: allow(ASL007) -- spec parsing, once per install
     detail::require(second != std::string::npos,
                     "fault spec: expected op:nth:action, got '" + directive +
                         "'");
@@ -113,6 +116,7 @@ void FaultInjector::configure(const std::string& spec) {
         directive.substr(first + 1, second - first - 1);
     const unsigned long long nth =
         std::strtoull(nth_text.c_str(), &end_ptr, 10);
+    // artsparse-lint: allow(ASL007) -- spec parsing, once per install
     detail::require(end_ptr != nth_text.c_str() && *end_ptr == '\0' &&
                         nth > 0,
                     "fault spec: nth must be a positive integer, got '" +
@@ -187,18 +191,11 @@ void FaultInjector::on_syscall(FaultOp op, const std::string& path) {
     // Stall, then let the call proceed: models a slow device rather than a
     // broken one. The sleep observes the ambient deadline/cancel budget so
     // a budgeted operation fails typed-and-fast instead of waiting it out.
-    const WaitResult wait =
-        interruptible_sleep(static_cast<double>(delay_ms) / 1e3);
-    if (wait == WaitResult::kCancelled) {
-      ARTSPARSE_COUNT("artsparse_cancelled_total", 1);
-      throw CancelledError("cancelled during injected delay at " + site);
-    }
-    if (wait == WaitResult::kDeadlineExpired) {
-      ARTSPARSE_COUNT("artsparse_deadline_exceeded_total", 1);
-      throw DeadlineExceededError(
-          "deadline expired during injected " + std::to_string(delay_ms) +
-          " ms delay at " + site);
-    }
+    throw_if_interrupted(
+        interruptible_sleep(static_cast<double>(delay_ms) / 1e3),
+        "cancelled during injected delay at " + site,
+        "deadline expired during injected " + std::to_string(delay_ms) +
+            " ms delay at " + site);
     return;
   }
   if (error_number == 0) {

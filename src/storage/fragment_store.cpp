@@ -61,21 +61,6 @@ void set_health_gauge(const std::string& directory, StoreHealth health) {
 #endif
 }
 
-/// Checked between fragments on the read fan-out: a gone budget stops the
-/// scan at a fragment boundary with a typed error, which the kSkip policy
-/// turns into a partial result (the fragment lands in ReadResult::skipped)
-/// and kStrict propagates to the caller.
-void check_budget(const OpContext& ctx) {
-  if (ctx.cancelled()) {
-    ARTSPARSE_COUNT("artsparse_cancelled_total", 1);
-    throw CancelledError("operation cancelled before fragment was read");
-  }
-  if (ctx.expired()) {
-    ARTSPARSE_COUNT("artsparse_deadline_exceeded_total", 1);
-    throw DeadlineExceededError("deadline expired before fragment was read");
-  }
-}
-
 /// The scan paths' kernel: the organization's native box scan.
 void box_scan(const SparseFormat& format, const Box& region,
               CoordBuffer& points, std::vector<std::size_t>& slots) {
@@ -203,7 +188,9 @@ std::vector<ReadResult> Snapshot::run(std::span<const Box> regions,
       [&](std::size_t s) {
         Partial& partial = partials[s];
         try {
-          check_budget(budget);
+          check_op_budget(budget,
+                          "operation cancelled before fragment was read",
+                          "deadline expired before fragment was read");
           const FragmentCache::Lookup lookup = cache_->get(
               partial.entry->cache_key, partial.entry->path(), model_);
           partial.extract = lookup.load_seconds;
@@ -670,6 +657,7 @@ void FragmentStore::rescan() {
       continue;
     }
     const FragmentInfo info = decode_fragment_info(raw);
+    // Once per fragment per rescan. artsparse-lint: allow(ASL007)
     detail::require(info.shape == shape_,
                     "fragment shape does not match store shape: " +
                         path.string());

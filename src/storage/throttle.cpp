@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/error.hpp"
 #include "core/timer.hpp"
-#include "obs/metrics.hpp"
 
 namespace artsparse {
 
@@ -99,16 +97,9 @@ void ThrottledFile::charge(double seconds, double already_spent) const {
   if (remaining > kSpinTailSec) {
     const OpContext& ctx = current_op_context();
     const WaitResult wait = interruptible_sleep(remaining - kSpinTailSec, ctx);
-    if (wait == WaitResult::kCancelled) {
-      ARTSPARSE_COUNT("artsparse_cancelled_total", 1);
-      throw CancelledError("modeled device charge cancelled mid-transfer");
-    }
-    if (wait == WaitResult::kDeadlineExpired) {
-      ARTSPARSE_COUNT("artsparse_deadline_exceeded_total", 1);
-      throw DeadlineExceededError(
-          "deadline expired during modeled device time charge", 1,
-          timer.seconds());
-    }
+    throw_if_interrupted(wait, "modeled device charge cancelled mid-transfer",
+                         "deadline expired during modeled device time charge",
+                         timer.seconds());
   }
   while (timer.seconds() < remaining) {
     // Spin only the final ~1 ms: keeps the charged time proportional to

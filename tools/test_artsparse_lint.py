@@ -60,6 +60,13 @@ class RuleFixtures(unittest.TestCase):
         # sleep_for and sleep_until both flagged.
         self.assert_rules("bad_sleep.cpp", ["ASL006", "ASL006"])
 
+    def test_asl007_require_message_builds_string(self):
+        # `+`, std::to_string and std::string( in the message, one of them
+        # on a call split over two lines; arithmetic in a condition,
+        # punctuation inside a literal and a 100'000 digit separator are
+        # not flagged.
+        self.assert_rules("bad_require.cpp", ["ASL007"] * 5)
+
     def test_suppression_comment(self):
         self.assert_rules("suppressed.cpp", [])
 
