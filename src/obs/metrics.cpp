@@ -150,11 +150,11 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
   const MutexLock lock(mutex_);
   auto it = metrics_.find(key);
   if (it != metrics_.end()) {
-    // Once per lookup, not per point. artsparse-lint: allow(ASL007)
-    artsparse::detail::require(
-        it->second.kind == kind,
-        "metric '" + std::string(name) + "' already registered as " +
-            std::string(to_string(it->second.kind)));
+    if (it->second.kind != kind) [[unlikely]] {
+      artsparse::detail::throw_format_error(
+          "metric '" + std::string(name) + "' already registered as " +
+          std::string(to_string(it->second.kind)));
+    }
     if (it->second.help.empty() && !help.empty()) {
       it->second.help = std::string(help);
     }

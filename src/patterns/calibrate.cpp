@@ -9,12 +9,31 @@ namespace artsparse {
 namespace {
 
 double tsp_density(const Shape& shape, index_t half_width) {
-  const CoordBuffer cells = generate_tsp(shape, TspConfig{half_width});
-  return static_cast<double>(cells.size()) /
+  return static_cast<double>(tsp_cell_count(shape, half_width)) /
          static_cast<double>(shape.element_count());
 }
 
 }  // namespace
+
+index_t tsp_cell_count(const Shape& shape, index_t half_width) {
+  // Group the band's cells by their smallest coordinate a. Such a cell has
+  // every coordinate in [a, top_i], top_i = min(a + w, m_i - 1), and at
+  // least one equal to a: the box [a, top] minus the box [a + 1, top].
+  // Both boxes lie inside the shape, so no product overflows.
+  index_t count = 0;
+  for (index_t a = 0; a < shape.min_extent(); ++a) {
+    index_t with_a = 1;
+    index_t above_a = 1;
+    for (std::size_t i = 0; i < shape.rank(); ++i) {
+      const index_t last = shape.extent(i) - 1;  // >= a
+      const index_t top = half_width < last - a ? a + half_width : last;
+      with_a *= top - a + 1;
+      above_a *= top - a;
+    }
+    count += with_a - above_a;
+  }
+  return count;
+}
 
 TspConfig calibrate_tsp(const Shape& shape, double target_density) {
   detail::require(target_density > 0.0 && target_density <= 1.0,

@@ -11,8 +11,14 @@
 
 namespace artsparse {
 
+/// Cells of the TSP band of `half_width`, i.e. generate_tsp(shape,
+/// {half_width}).size(), counted in closed form: O(rank * min_extent)
+/// integer work, no allocation.
+index_t tsp_cell_count(const Shape& shape, index_t half_width);
+
 /// Smallest half-width whose band density reaches at least
-/// `target_density`. Exponential + binary search over generated counts.
+/// `target_density`. Exponential + binary search over closed-form counts
+/// (tsp_cell_count); no band is generated.
 TspConfig calibrate_tsp(const Shape& shape, double target_density);
 
 /// Exact: a Bernoulli process's expected density equals its probability.

@@ -32,21 +32,19 @@ std::unique_ptr<Codec> make_codec(CodecKind kind) {
     case CodecKind::kRle:
       return std::make_unique<RleCodec>();
     case CodecKind::kDeltaVarint:
-      return std::make_unique<PipelineCodec>(CodecKind::kDeltaVarint,
-                                             std::make_unique<DeltaCodec>(),
-                                             std::make_unique<VarintCodec>());
+      return std::make_unique<DeltaVarintCodec>();
   }
   throw FormatError("unknown CodecKind value");
 }
 
-Bytes PipelineCodec::encode(std::span<const std::byte> raw) const {
-  const Bytes intermediate = first_->encode(raw);
-  return second_->encode(intermediate);
+Bytes DeltaVarintCodec::encode(std::span<const std::byte> raw) const {
+  return VarintCodec().encode(DeltaCodec().encode(raw));
 }
 
-Bytes PipelineCodec::decode(std::span<const std::byte> coded) const {
-  const Bytes intermediate = second_->decode(coded);
-  return first_->decode(intermediate);
+Bytes DeltaVarintCodec::decode(std::span<const std::byte> coded) const {
+  Bytes out = VarintCodec().decode(coded);
+  DeltaCodec::decode_in_place(out);
+  return out;
 }
 
 }  // namespace artsparse

@@ -2,8 +2,6 @@
 // make_codec(); these types are exposed for unit tests.
 #pragma once
 
-#include <vector>
-
 #include "storage/compress/codec.hpp"
 
 namespace artsparse {
@@ -22,6 +20,11 @@ class DeltaCodec final : public Codec {
   CodecKind kind() const override { return CodecKind::kDelta; }
   Bytes encode(std::span<const std::byte> raw) const override;
   Bytes decode(std::span<const std::byte> coded) const override;
+
+  /// decode() within `buf`: the decoded bytes are a prefix of the coded
+  /// ones, so the words are un-deltaed where they lie and the marker byte
+  /// is dropped.
+  static void decode_in_place(Bytes& buf);
 };
 
 /// LEB128 varint over u64 words, with a word-count prefix.
@@ -41,21 +44,14 @@ class RleCodec final : public Codec {
   Bytes decode(std::span<const std::byte> coded) const override;
 };
 
-/// Composition: encode applies first then second; decode reverses.
-class PipelineCodec final : public Codec {
+/// Delta, then varint: the useful pipeline for sorted address/index
+/// arrays. The bytes are exactly VarintCodec(DeltaCodec(raw)); decode
+/// builds one buffer and un-deltas it in place.
+class DeltaVarintCodec final : public Codec {
  public:
-  PipelineCodec(CodecKind kind, std::unique_ptr<Codec> first,
-                std::unique_ptr<Codec> second)
-      : kind_(kind), first_(std::move(first)), second_(std::move(second)) {}
-
-  CodecKind kind() const override { return kind_; }
+  CodecKind kind() const override { return CodecKind::kDeltaVarint; }
   Bytes encode(std::span<const std::byte> raw) const override;
   Bytes decode(std::span<const std::byte> coded) const override;
-
- private:
-  CodecKind kind_;
-  std::unique_ptr<Codec> first_;
-  std::unique_ptr<Codec> second_;
 };
 
 }  // namespace artsparse

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 
 #include "core/error.hpp"
@@ -29,9 +30,8 @@ std::uint64_t load_word(const std::byte* data, std::size_t i) {
   return w;
 }
 
-void store_word(Bytes& out, std::uint64_t w) {
-  const auto* p = reinterpret_cast<const std::byte*>(&w);
-  out.insert(out.end(), p, p + sizeof(w));
+void store_word(std::byte* data, std::size_t i, std::uint64_t w) {
+  std::memcpy(data + i * sizeof(w), &w, sizeof(w));
 }
 
 }  // namespace
@@ -39,39 +39,41 @@ void store_word(Bytes& out, std::uint64_t w) {
 Bytes DeltaCodec::encode(std::span<const std::byte> raw) const {
   const std::size_t words = raw.size() / sizeof(std::uint64_t);
   const std::size_t tail = raw.size() % sizeof(std::uint64_t);
-  Bytes out;
-  out.reserve(raw.size() + 1);
+  Bytes out(raw.size() + 1);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < words; ++i) {
     const std::uint64_t cur = load_word(raw.data(), i);
     // Differences are taken modulo 2^64; zigzag keeps small +/- deltas small.
-    store_word(out, zigzag(static_cast<std::int64_t>(cur - prev)));
+    store_word(out.data(), i, zigzag(static_cast<std::int64_t>(cur - prev)));
     prev = cur;
   }
-  out.insert(out.end(), raw.end() - tail, raw.end());
-  out.push_back(static_cast<std::byte>(tail));
+  std::copy(raw.end() - tail, raw.end(), out.end() - 1 - tail);
+  out.back() = static_cast<std::byte>(tail);
   return out;
 }
 
 Bytes DeltaCodec::decode(std::span<const std::byte> coded) const {
-  detail::require(!coded.empty(), "delta payload truncated");
-  const auto tail = static_cast<std::size_t>(coded.back());
+  Bytes out(coded.begin(), coded.end());
+  decode_in_place(out);
+  return out;
+}
+
+void DeltaCodec::decode_in_place(Bytes& buf) {
+  detail::require(!buf.empty(), "delta payload truncated");
+  const auto tail = static_cast<std::size_t>(buf.back());
   detail::require(tail < sizeof(std::uint64_t), "delta tail length invalid");
-  detail::require(coded.size() >= 1 + tail, "delta payload truncated");
-  const std::size_t body = coded.size() - 1 - tail;
+  detail::require(buf.size() >= 1 + tail, "delta payload truncated");
+  const std::size_t body = buf.size() - 1 - tail;
   detail::require(body % sizeof(std::uint64_t) == 0,
                   "delta payload body must be whole u64 words");
   const std::size_t words = body / sizeof(std::uint64_t);
 
-  Bytes out;
-  out.reserve(body + tail);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < words; ++i) {
-    prev += static_cast<std::uint64_t>(unzigzag(load_word(coded.data(), i)));
-    store_word(out, prev);
+    prev += static_cast<std::uint64_t>(unzigzag(load_word(buf.data(), i)));
+    store_word(buf.data(), i, prev);
   }
-  out.insert(out.end(), coded.end() - 1 - tail, coded.end() - 1);
-  return out;
+  buf.pop_back();  // the tail bytes already sit right after the words
 }
 
 }  // namespace artsparse

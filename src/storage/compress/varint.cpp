@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 
 #include "core/error.hpp"
@@ -11,12 +12,17 @@ namespace artsparse {
 
 namespace {
 
-void put_varint(Bytes& out, std::uint64_t v) {
+/// A u64 takes at most ceil(64 / 7) LEB128 bytes.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `v` at `out` and returns the byte after it.
+std::byte* put_varint(std::byte* out, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+    *out++ = static_cast<std::byte>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<std::byte>(v));
+  *out++ = static_cast<std::byte>(v);
+  return out;
 }
 
 std::uint64_t get_varint(std::span<const std::byte> data,
@@ -39,16 +45,17 @@ std::uint64_t get_varint(std::span<const std::byte> data,
 Bytes VarintCodec::encode(std::span<const std::byte> raw) const {
   const std::size_t words = raw.size() / sizeof(std::uint64_t);
   const std::size_t tail = raw.size() % sizeof(std::uint64_t);
-  Bytes out;
-  out.reserve(raw.size() / 4 + 16);
-  out.push_back(static_cast<std::byte>(tail));
-  put_varint(out, words);
+  // Sized for the worst case once, then trimmed to what was written.
+  Bytes out(1 + (words + 1) * kMaxVarintBytes + tail);
+  out[0] = static_cast<std::byte>(tail);
+  std::byte* end = put_varint(out.data() + 1, words);
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t w;
     std::memcpy(&w, raw.data() + i * sizeof(w), sizeof(w));
-    put_varint(out, w);
+    end = put_varint(end, w);
   }
-  out.insert(out.end(), raw.end() - tail, raw.end());
+  end = std::copy(raw.end() - tail, raw.end(), end);
+  out.resize(static_cast<std::size_t>(end - out.data()));
   return out;
 }
 
@@ -64,15 +71,15 @@ Bytes VarintCodec::decode(std::span<const std::byte> coded) const {
   const std::uint64_t words = get_varint(coded, offset, limit);
   detail::require(words <= coded.size(),  // each word needs >= 1 input byte
                   "varint word count exceeds payload size");
-  Bytes out;
-  out.reserve(words * sizeof(std::uint64_t) + tail);
+  Bytes out(words * sizeof(std::uint64_t) + tail);
+  std::byte* word_out = out.data();
   for (std::uint64_t i = 0; i < words; ++i) {
     const std::uint64_t w = get_varint(coded, offset, limit);
-    const auto* p = reinterpret_cast<const std::byte*>(&w);
-    out.insert(out.end(), p, p + sizeof(w));
+    std::memcpy(word_out, &w, sizeof(w));
+    word_out += sizeof(w);
   }
   detail::require(offset == limit, "varint payload has trailing bytes");
-  out.insert(out.end(), coded.end() - tail, coded.end());
+  std::copy(coded.end() - tail, coded.end(), word_out);
   return out;
 }
 

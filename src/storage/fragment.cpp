@@ -103,9 +103,8 @@ Fragment decode_fragment(std::span<const std::byte> data) {
   fragment.value_min = info.value_min;
   fragment.value_max = info.value_max;
 
-  const Bytes coded_index = reader.get_bytes(info.index_bytes);
   const auto codec = make_codec(info.codec);
-  fragment.index = codec->decode(coded_index);
+  fragment.index = codec->decode(reader.view_bytes(info.index_bytes));
   fragment.values = reader.get_f64_vec();
   detail::require(fragment.values.size() == info.value_count,
                   "fragment value count mismatch");

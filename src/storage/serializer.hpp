@@ -110,10 +110,15 @@ class BufferReader {
   /// any narrowing to size_t (a 32-bit size_t would otherwise truncate a
   /// hostile length into a small, "valid" one).
   Bytes get_bytes(std::uint64_t n) {
+    const std::span<const std::byte> b = view_bytes(n);
+    return Bytes(b.begin(), b.end());
+  }
+
+  /// get_bytes without the copy: the span views the reader's buffer.
+  std::span<const std::byte> view_bytes(std::uint64_t n) {
     detail::require(n <= remaining(), "serialized buffer truncated");
     const auto count = static_cast<std::size_t>(n);
-    Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset_ + count));
+    const std::span<const std::byte> b = data_.subspan(offset_, count);
     offset_ += count;
     return b;
   }

@@ -26,6 +26,7 @@
 #include "core/shape.hpp"
 #include "formats/format.hpp"
 #include "formats/registry.hpp"
+#include "obs/metrics.hpp"
 #include "storage/compress/codec.hpp"
 #include "storage/fragment_cache.hpp"
 #include "storage/fragment_store.hpp"
@@ -193,6 +194,31 @@ TEST_F(AllocBudget, PassingRequireAllocatesNothing) {
     EXPECT_STREQ(e.what(), "a failing check with a message past the SSO");
   }
 }
+
+#if defined(ARTSPARSE_OBS_ENABLED)
+TEST_F(AllocBudget, LabeledObserveOnExistingSeriesBuildsNoMessage) {
+  // The store observes artsparse_format_read_ns once per fragment per
+  // region of every read. A hit still builds its label list and series key
+  // (4 allocations per call, measured) but not the kind-clash message,
+  // which cost 3 more.
+  const std::string org = "GCSR++";
+  ARTSPARSE_OBSERVE_L("test_alloc_labeled_ns", "org", org, 1.0);
+  constexpr int kCalls = 1000;
+  const AllocationCounter counter;
+  for (int i = 0; i < kCalls; ++i) {
+    ARTSPARSE_OBSERVE_L("test_alloc_labeled_ns", "org", org, 1.0);
+  }
+  EXPECT_LE(counter.per(kCalls), 5.0) << counter.count() << " allocs";
+  try {
+    ARTSPARSE_COUNT_L("test_alloc_labeled_ns", "org", org, 1);
+    FAIL() << "a counter lookup of a histogram series returned";
+  } catch (const FormatError& e) {
+    EXPECT_STREQ(e.what(),
+                 "metric 'test_alloc_labeled_ns' already registered as "
+                 "histogram");
+  }
+}
+#endif
 
 TEST_F(AllocBudget, LocalAddressingAllocatesNothing) {
   const Box box = query_box();

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "benchlib/workload.hpp"
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "patterns/dataset.hpp"
 
 namespace artsparse {
@@ -35,6 +37,55 @@ TEST(CalibrateTsp, ImpossibleTargetReturnsWidestBand) {
   const Shape shape{8, 8};
   const TspConfig config = calibrate_tsp(shape, 1.0);
   EXPECT_EQ(config.half_width, 7u);
+}
+
+TEST(CalibrateTsp, ClosedFormCountMatchesGeneratedBand) {
+  // Unequal extents, so top_i = min(a + w, m_i - 1) clips at different
+  // widths in different dimensions.
+  Xoshiro256 rng(2024);
+  for (std::size_t rank = 1; rank <= 5; ++rank) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<index_t> extents(rank);
+      for (index_t& extent : extents) {
+        extent = 1 + rng.next_below(rank <= 2 ? 40 : rank == 3 ? 16 : 8);
+      }
+      const Shape shape(extents);
+      SCOPED_TRACE(shape.to_string());
+      for (index_t w = 0; w < shape.min_extent(); ++w) {
+        EXPECT_EQ(tsp_cell_count(shape, w),
+                  generate_tsp(shape, TspConfig{w}).size())
+            << "half_width " << w;
+      }
+    }
+  }
+}
+
+TEST(CalibrateTsp, WidthPastEveryExtentCountsWholeTensor) {
+  const Shape shape{5, 9, 3};
+  EXPECT_EQ(tsp_cell_count(shape, 8), shape.element_count());
+  EXPECT_EQ(tsp_cell_count(shape, ~index_t{0}), shape.element_count());
+}
+
+TEST(CalibrateTsp, PaperGridHalfWidthsArePinned) {
+  // The Table II TSP workloads: 2-D/3-D/4-D at small and paper scale.
+  // Counting in closed form makes the paper-scale search cheap enough
+  // for a unit test.
+  const struct {
+    ScaleKind scale;
+    std::size_t rank;
+    index_t half_width;
+  } cases[] = {
+      {ScaleKind::kSmall, 2, 9},  {ScaleKind::kSmall, 3, 14},
+      {ScaleKind::kSmall, 4, 14}, {ScaleKind::kPaper, 2, 69},
+      {ScaleKind::kPaper, 3, 57}, {ScaleKind::kPaper, 4, 38},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::to_string(c.rank) + "-D" +
+                 (c.scale == ScaleKind::kPaper ? " paper" : " small"));
+    const TspConfig config = calibrate_tsp(
+        grid_shape(c.rank, c.scale), table2_density(c.rank, PatternKind::kTsp));
+    EXPECT_EQ(config.half_width, c.half_width);
+  }
 }
 
 TEST(CalibrateTsp, InvalidTargetRejected) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "formats/registry.hpp"
+#include "storage/file_io.hpp"
 #include "test_support.hpp"
 
 namespace artsparse {
@@ -121,6 +126,33 @@ TEST(Fragment, CompressedFragmentIsSmallerOnSortedIndex) {
   Fragment packed = plain;
   packed.codec = CodecKind::kDeltaVarint;
   EXPECT_LT(encode_fragment(packed).size(), encode_fragment(plain).size());
+}
+
+/// The fuzz seed corpus, written by make_seed_corpus from an earlier
+/// build: one fragment per (organization, codec) pairing plus an empty one.
+/// Every build must read them and write the same bytes back, so a change
+/// to the checksum or a codec cannot silently strand files on disk.
+TEST(FragmentCorpus, EverySeedDecodesAndReencodesToTheSameBytes) {
+  const std::filesystem::path dir(ARTSPARSE_FRAGMENT_CORPUS_DIR);
+  std::vector<std::string> names{"empty.asf"};
+  for (const OrgKind org : all_org_kinds()) {
+    for (const CodecKind codec : {CodecKind::kIdentity,
+                                  CodecKind::kDeltaVarint, CodecKind::kRle}) {
+      names.push_back(to_string(org) + "_" + to_string(codec) + ".asf");
+    }
+  }
+  ASSERT_EQ(names.size(), 22u);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const Bytes bytes = read_file((dir / name).string());
+    const Fragment fragment = decode_fragment(bytes);
+    EXPECT_EQ(encode_fragment(fragment), bytes);
+    if (name == "empty.asf") continue;
+    EXPECT_EQ(name, to_string(fragment.org) + "_" +
+                        to_string(fragment.codec) + ".asf");
+    EXPECT_EQ(load_format(fragment.org, fragment.index)->point_count(),
+              fragment.point_count);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.hpp"
+
 namespace artsparse {
 namespace {
 
@@ -98,6 +100,45 @@ TEST(Crc32, KnownVectors) {
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
   EXPECT_EQ(crc32(std::span<const std::byte>(p, s.size())), 0xcbf43926u);
   EXPECT_EQ(crc32({}), 0u);
+}
+
+/// Bitwise CRC-32 straight from the polynomial: the reference that the
+/// library's table-driven crc32 must match.
+std::uint32_t reference_crc32(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::byte b : data) {
+    crc ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Bytes data(n);
+  for (std::byte& b : data) b = static_cast<std::byte>(rng.next_below(256));
+  return data;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-64 cover empty, tail-only, and whole 8-byte steps plus
+  // every tail; offsets 0-7 cover every alignment of the 8-byte loads.
+  const Bytes data = random_bytes(64 + 8, 11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto bytes =
+          std::span<const std::byte>(data).subspan(offset, length);
+      EXPECT_EQ(crc32(bytes), reference_crc32(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnOneMebibyte) {
+  const Bytes data = random_bytes(std::size_t{1} << 20, 12);
+  EXPECT_EQ(crc32(data), reference_crc32(data));
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
