@@ -5,8 +5,7 @@
 // each built on storage/throttle's TokenBucket (ops/sec, bytes/sec) or a
 // plain in-flight counter (concurrency). Over-quota requests are rejected
 // immediately with a typed OverloadedError naming the tenant and the axis
-// — admission control sheds load, it does not queue it; queuing is the
-// batcher's job (service/batch.hpp), shedding is this layer's.
+// — admission control sheds load, it does not queue it.
 //
 // Byte quotas are charged in two halves: writes debit their payload at
 // admit time (the size is known), reads admit optimistically and

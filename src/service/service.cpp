@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <type_traits>
 #include <utility>
 
@@ -9,7 +10,16 @@
 namespace artsparse {
 
 Service::Service(FragmentStore& store, TenantQuota default_quota)
-    : store_(store), admission_(default_quota), batcher_(store) {}
+    : store_(store), admission_(default_quota) {}
+
+void Service::count_batch(std::size_t regions) {
+  if (regions == 0) return;  // scans nothing; keeps requests >= batches
+  const MutexLock lock(batch_mutex_);
+  ++batch_stats_.batches;
+  batch_stats_.requests += regions;
+  batch_stats_.max_batch =
+      std::max<std::uint64_t>(batch_stats_.max_batch, regions);
+}
 
 Session Service::session(std::string tenant) {
   return Session(this, std::move(tenant),
@@ -74,12 +84,19 @@ ReadResult Session::read_region(const Box& region) {
 }
 
 ReadResult Session::scan(const Box& region) {
-  return admitted("service.scan", {}, 0,
-                  [&] { return service_->batcher_.scan(region); });
+  return admitted("service.scan", {}, 0, [&] {
+    // Admission ignores the budget and the engine checks it per fragment
+    // (kSkip even skips instead), so a spent one fails here, typed.
+    check_op_budget(current_op_context(), "scan cancelled before it started",
+                    "deadline expired before scan started");
+    service_->count_batch(1);
+    return service_->store_.scan_region(region);
+  });
 }
 
 std::vector<ReadResult> Session::scan_batch(std::span<const Box> regions) {
   return admitted("service.scan_batch", {"regions", regions.size()}, 0, [&] {
+    service_->count_batch(regions.size());
     return service_->store_.snapshot().scan_batch(regions);
   });
 }

@@ -8,9 +8,8 @@
 //   - Admission control (service/admission.hpp): per-tenant ops/sec,
 //     bytes/sec, and concurrency quotas, enforced before any storage work
 //     runs; over-quota requests fail fast with a typed OverloadedError.
-//   - Batched reads (service/batch.hpp): concurrent box scans group-commit
-//     into Snapshot::scan_batch, decoding each touched fragment once per
-//     batch.
+//   - Reads run the store's one read engine directly; Session::scan_batch
+//     is the caller-batched path (each touched fragment decodes once).
 //   - Snapshots: sessions can pin a generation and run any number of
 //     consistent reads against it while writers and consolidation proceed.
 //
@@ -23,13 +22,24 @@
 #include <vector>
 
 #include "core/deadline.hpp"
+#include "core/thread_safety.hpp"
 #include "service/admission.hpp"
-#include "service/batch.hpp"
 #include "storage/fragment_store.hpp"
 
 namespace artsparse {
 
 class Service;
+
+/// Cumulative scan counters: each Session::scan is a batch of one region,
+/// each Session::scan_batch one batch of its regions.
+struct BatchStats {
+  std::uint64_t batches = 0;   ///< scans and non-empty scan_batches run
+  std::uint64_t requests = 0;  ///< regions scanned
+  std::uint64_t max_batch = 0;
+
+  /// Regions that shared a batch with at least one other region.
+  std::uint64_t coalesced() const { return requests - batches; }
+};
 
 /// One tenant's handle onto the service. Cheap to create (one string),
 /// cheap to copy, safe to use from many threads at once — requests, not
@@ -77,8 +87,8 @@ class Session {
   /// Admission-checked cell-by-cell region read.
   ReadResult read_region(const Box& region);
 
-  /// Admission-checked box scan, group-committed with concurrent scans
-  /// from all sessions via the service's BatchedReader.
+  /// Admission-checked box scan on a fresh snapshot. A cancelled or
+  /// expired session fails with the typed error before any scan work.
   ReadResult scan(const Box& region);
 
   /// Admission-checked batch of box scans from this one request, executed
@@ -155,13 +165,20 @@ class Service {
   const FragmentStore& store() const { return store_; }
   AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
-  BatchStats batch_stats() const { return batcher_.stats(); }
+  BatchStats batch_stats() const {
+    const MutexLock lock(batch_mutex_);
+    return batch_stats_;
+  }
 
  private:
   friend class Session;
+  /// Counts one admitted scan batch of `regions` regions (none: no batch).
+  void count_batch(std::size_t regions);
+
   FragmentStore& store_;
   AdmissionController admission_;
-  BatchedReader batcher_;
+  mutable Mutex batch_mutex_;
+  BatchStats batch_stats_ ARTSPARSE_GUARDED_BY(batch_mutex_);
   /// Parent of every session token: cancel_all() fans out through it.
   CancelToken root_cancel_ = CancelToken::root();
 };

@@ -167,8 +167,8 @@ class Snapshot {
   /// fragment touched by any of the regions is resolved through the cache
   /// and decoded at most once, then searched for every region that
   /// overlaps it. Results are byte-identical to calling scan_region per
-  /// region, in the same order. This is the storage half of the service
-  /// layer's batched read API.
+  /// region, in the same order. Session::scan_batch runs it for a
+  /// caller's batch of regions.
   std::vector<ReadResult> scan_batch(std::span<const Box> regions) const;
 
  private:
@@ -233,8 +233,8 @@ class FragmentStore {
                 CodecKind codec = CodecKind::kIdentity,
                 std::shared_ptr<FragmentCache> cache = nullptr);
 
-  /// Pins the current manifest generation for consistent multi-read work
-  /// (and for the service layer's batched reads). See Snapshot.
+  /// Pins the current manifest generation for consistent multi-read work.
+  /// See Snapshot.
   Snapshot snapshot() const;
 
   /// The current manifest generation: 1 after open, bumped by every

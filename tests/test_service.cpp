@@ -303,7 +303,7 @@ TEST_F(ServiceTest, ScanBatchPinsBytesForTheDuration) {
   EXPECT_EQ(store_->cache().stats().pinned_bytes, 0u);
 }
 
-TEST_F(ServiceTest, BatchedReaderServesConcurrentScansCorrectly) {
+TEST_F(ServiceTest, ConcurrentSessionScansMatchScanRegion) {
   const CoordBuffer coords = grid_coords(0, 32);
   store_->write(coords, values_for(coords, 1.0), OrgKind::kGcsr);
   Service service(*store_);
@@ -329,11 +329,20 @@ TEST_F(ServiceTest, BatchedReaderServesConcurrentScansCorrectly) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(wrong.load(), 0);
 
-  const BatchStats stats = service.batch_stats();
-  EXPECT_EQ(stats.requests,
-            static_cast<std::uint64_t>(kThreads * kOpsPerThread));
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.batches, stats.requests);
+  // Each Session::scan is a batch of one region, and a scan_batch is one
+  // batch of its regions.
+  constexpr std::uint64_t kScans = kThreads * kOpsPerThread;
+  BatchStats stats = service.batch_stats();
+  EXPECT_EQ(stats.batches, kScans);
+  EXPECT_EQ(stats.requests, kScans);
+  EXPECT_EQ(stats.max_batch, 1u);
+  EXPECT_EQ(stats.coalesced(), 0u);
+  service.session("tenant0").scan_batch({});  // no regions: no batch
+  service.session("tenant0").scan_batch(std::vector<Box>(3, region));
+  stats = service.batch_stats();
+  EXPECT_EQ(stats.batches, kScans + 1);
+  EXPECT_EQ(stats.requests, kScans + 3);
+  EXPECT_EQ(stats.max_batch, 3u);
 }
 
 TEST_F(ServiceTest, SnapshotPinsGenerationAcrossWrites) {
@@ -451,6 +460,24 @@ TEST_F(ServiceTest, SessionCancelStopsItsOpsButNotOtherSessions) {
   EXPECT_THROW(other.scan(region), CancelledError);
 
   // Accounting still balances: cancelled ops were admitted, then failed.
+  EXPECT_EQ(service.admission().stats("t").in_flight, 0u);
+}
+
+TEST_F(ServiceTest, CancelledSessionScanFailsBeforeAnyWork) {
+  const CoordBuffer coords = grid_coords(0, 4);
+  store_->write(coords, values_for(coords, 1.0), OrgKind::kCoo);
+  Service service(*store_, TenantQuota{});
+  Session session = service.session("t");
+  session.cancel();
+
+  // The engine checks the budget per fragment, and this region overlaps
+  // none: only the entry check can see the cancel.
+  EXPECT_THROW(session.scan(Box({32, 32}, {63, 63})), CancelledError);
+  EXPECT_EQ(service.admission().stats("t").in_flight, 0u);
+
+  // Under kSkip the engine turns a spent budget into skipped partials.
+  store_->set_read_fault_policy(ReadFaultPolicy::kSkip);
+  EXPECT_THROW(session.scan(Box({0, 0}, {16, 16})), CancelledError);
   EXPECT_EQ(service.admission().stats("t").in_flight, 0u);
 }
 

@@ -732,7 +732,7 @@ int cmd_serve_selftest_chaos(const Args& args) {
 /// quota'd) while consolidation runs concurrently, then cross-checks
 ///   - every request the workers saw admitted/rejected is accounted
 ///     identically by the AdmissionController (the CI gate),
-///   - batched scans returned byte-identical results to sequential scans,
+///   - Snapshot::scan_batch matched sequential scan_region byte for byte,
 ///   - no admission slot leaked (in_flight back to 0).
 /// Exits nonzero on any mismatch. With --chaos, runs the failure drill
 /// above instead.
@@ -791,7 +791,7 @@ int cmd_serve_selftest(const Args& args) {
         "beta", TenantQuota{/*ops_per_sec=*/25.0, /*bytes_per_sec=*/0.0,
                             /*max_concurrent=*/2});
 
-    // Probe: batched scans must be byte-identical to sequential ones.
+    // Probe: Snapshot::scan_batch must be byte-identical to scan_region.
     std::vector<Box> regions;
     for (index_t lo = 0; lo + 40 <= 96; lo += 16) {
       regions.push_back(Box({lo, lo / 2}, {lo + 39, lo / 2 + 39}));
