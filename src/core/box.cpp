@@ -40,27 +40,18 @@ Box Box::from_origin_size(std::span<const index_t> origin,
 
 Box Box::bounding(const CoordBuffer& coords) {
   detail::require(!coords.empty(), "bounding box of empty coordinate buffer");
+  // One pass over the flat buffer: entry k belongs to dimension k mod d.
   const std::size_t d = coords.rank();
-  std::vector<index_t> lo(coords.point(0).begin(), coords.point(0).end());
+  const std::span<const index_t> flat = coords.flat();
+  std::vector<index_t> lo(flat.begin(), flat.begin() + d);
   std::vector<index_t> hi = lo;
-  for (std::size_t i = 1; i < coords.size(); ++i) {
-    const auto p = coords.point(i);
+  for (std::size_t k = d; k < flat.size(); k += d) {
     for (std::size_t dim = 0; dim < d; ++dim) {
-      lo[dim] = std::min(lo[dim], p[dim]);
-      hi[dim] = std::max(hi[dim], p[dim]);
+      lo[dim] = std::min(lo[dim], flat[k + dim]);
+      hi[dim] = std::max(hi[dim], flat[k + dim]);
     }
   }
   return Box(std::move(lo), std::move(hi));
-}
-
-index_t Box::lo(std::size_t dim) const {
-  detail::require(dim < lo_.size(), "box dimension out of range");
-  return lo_[dim];
-}
-
-index_t Box::hi(std::size_t dim) const {
-  detail::require(dim < hi_.size(), "box dimension out of range");
-  return hi_[dim];
 }
 
 Shape Box::shape() const {
@@ -69,33 +60,6 @@ Shape Box::shape() const {
     extents[i] = hi_[i] - lo_[i] + 1;
   }
   return Shape(std::move(extents));
-}
-
-index_t Box::cell_count() const {
-  // Shape's checks in Shape's order, without building one: every extent
-  // positive first (hi-lo+1 wraps to 0 only for [0, UINT64_MAX]), then the
-  // product fits index_t.
-  index_t cells = empty() ? 0 : 1;
-  bool wrapped = false;
-  bool overflow = false;
-  for (std::size_t i = 0; i < lo_.size(); ++i) {
-    const index_t extent = hi_[i] - lo_[i] + 1;
-    wrapped |= extent == 0;
-    overflow |= __builtin_mul_overflow(cells, extent, &cells);
-  }
-  detail::require(!wrapped, "shape extents must be positive");
-  if (overflow) [[unlikely]] {
-    throw OverflowError("shape element count overflows 64-bit index space");
-  }
-  return cells;
-}
-
-bool Box::contains(std::span<const index_t> point) const {
-  if (point.size() != lo_.size()) return false;
-  for (std::size_t i = 0; i < lo_.size(); ++i) {
-    if (point[i] < lo_[i] || point[i] > hi_[i]) return false;
-  }
-  return true;
 }
 
 bool Box::contains(const Box& other) const {

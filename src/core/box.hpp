@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/shape.hpp"
 #include "core/types.hpp"
 
@@ -35,8 +36,14 @@ class Box {
   std::size_t rank() const { return lo_.size(); }
   bool empty() const { return lo_.empty(); }
 
-  index_t lo(std::size_t dim) const;
-  index_t hi(std::size_t dim) const;
+  index_t lo(std::size_t dim) const {
+    detail::require(dim < lo_.size(), "box dimension out of range");
+    return lo_[dim];
+  }
+  index_t hi(std::size_t dim) const {
+    detail::require(dim < hi_.size(), "box dimension out of range");
+    return hi_[dim];
+  }
   std::span<const index_t> lo() const { return lo_; }
   std::span<const index_t> hi() const { return hi_; }
 
@@ -45,9 +52,32 @@ class Box {
 
   /// Number of cells inside the box, with shape()'s checks (positive
   /// extents, then OverflowError) but no allocation.
-  index_t cell_count() const;
+  index_t cell_count() const {
+    // Shape's checks in Shape's order, without building one: every extent
+    // positive first (hi-lo+1 wraps to 0 only for [0, UINT64_MAX]), then
+    // the product fits index_t.
+    index_t cells = empty() ? 0 : 1;
+    bool wrapped = false;
+    bool overflow = false;
+    for (std::size_t i = 0; i < lo_.size(); ++i) {
+      const index_t extent = hi_[i] - lo_[i] + 1;
+      wrapped |= extent == 0;
+      overflow |= __builtin_mul_overflow(cells, extent, &cells);
+    }
+    detail::require(!wrapped, "shape extents must be positive");
+    if (overflow) [[unlikely]] {
+      throw OverflowError("shape element count overflows 64-bit index space");
+    }
+    return cells;
+  }
 
-  bool contains(std::span<const index_t> point) const;
+  bool contains(std::span<const index_t> point) const {
+    if (point.size() != lo_.size()) return false;
+    for (std::size_t i = 0; i < lo_.size(); ++i) {
+      if (point[i] < lo_[i] || point[i] > hi_[i]) return false;
+    }
+    return true;
+  }
   bool contains(const Box& other) const;
   bool overlaps(const Box& other) const;
 

@@ -14,21 +14,10 @@ CoordBuffer::CoordBuffer(std::size_t rank, std::vector<index_t> flat)
                   "flat coordinate buffer length is not a multiple of rank");
 }
 
-std::span<const index_t> CoordBuffer::point(std::size_t i) const {
-  detail::require(i < size(), "CoordBuffer point index out of range");
-  return {flat_.data() + i * rank_, rank_};
-}
-
 index_t CoordBuffer::at(std::size_t i, std::size_t dim) const {
   detail::require(i < size() && dim < rank_,
                   "CoordBuffer access out of range");
   return flat_[i * rank_ + dim];
-}
-
-void CoordBuffer::append(std::span<const index_t> point) {
-  detail::require(point.size() == rank_,
-                  "appended point rank does not match buffer rank");
-  flat_.insert(flat_.end(), point.begin(), point.end());
 }
 
 void CoordBuffer::append(std::initializer_list<index_t> point) {

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/types.hpp"
 
 namespace artsparse {
@@ -26,13 +27,22 @@ class CoordBuffer {
   bool empty() const { return flat_.empty(); }
 
   /// Coordinates of point i as a span of length rank().
-  std::span<const index_t> point(std::size_t i) const;
+  std::span<const index_t> point(std::size_t i) const {
+    detail::require(i < size(), "CoordBuffer point index out of range");
+    return {flat_.data() + i * rank_, rank_};
+  }
 
   /// Coordinate of point i in dimension dim.
   index_t at(std::size_t i, std::size_t dim) const;
 
   /// Appends one point; the span length must equal rank().
-  void append(std::span<const index_t> point);
+  void append(std::span<const index_t> point) {
+    detail::require(point.size() == rank_,
+                    "appended point rank does not match buffer rank");
+    flat_.insert(flat_.end(), point.begin(), point.end());
+  }
+  /// Out of line: hand-written points are not a hot path, and inlined
+  /// into a constant-size list GCC 12 warns a false -Wstringop-overflow.
   void append(std::initializer_list<index_t> point);
 
   void reserve(std::size_t points) { flat_.reserve(points * rank_); }

@@ -43,11 +43,6 @@ void Shape::init() {
   }
 }
 
-index_t Shape::extent(std::size_t dim) const {
-  detail::require(dim < extents_.size(), "shape dimension out of range");
-  return extents_[dim];
-}
-
 index_t Shape::min_extent() const {
   detail::require(!extents_.empty(), "min_extent() on empty shape");
   return *std::min_element(extents_.begin(), extents_.end());

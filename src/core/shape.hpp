@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/types.hpp"
 
 namespace artsparse {
@@ -39,7 +40,10 @@ class Shape {
   std::size_t rank() const { return extents_.size(); }
   bool empty() const { return extents_.empty(); }
 
-  index_t extent(std::size_t dim) const;
+  index_t extent(std::size_t dim) const {
+    detail::require(dim < extents_.size(), "shape dimension out of range");
+    return extents_[dim];
+  }
   std::span<const index_t> extents() const { return extents_; }
 
   /// Row-major strides: stride[d-1] == 1, stride[i] = prod(extents[i+1..]).

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -78,19 +77,6 @@ void parallel_stable_sort(std::vector<T>& data, Less less,
   if (src == scratch.data()) {
     std::copy(scratch.begin(), scratch.end(), data.begin());
   }
-}
-
-/// Generic parallel sort_permutation: stable-sorts indices [0, n) with
-/// `less` (an index comparator). Bit-identical to the serial stable_sort
-/// path for any thread count.
-template <typename Less>
-std::vector<std::size_t> parallel_sort_permutation_by(std::size_t n,
-                                                      Less less,
-                                                      unsigned threads = 0) {
-  std::vector<std::size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  parallel_stable_sort(perm, less, threads);
-  return perm;
 }
 
 /// Parallel variant of sort_permutation for plain integer keys. Sorts

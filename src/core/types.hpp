@@ -32,6 +32,9 @@ enum class OrgKind : std::uint8_t {
               ///< paper's evaluated five
 };
 
+/// Number of OrgKind values (one past the largest).
+inline constexpr std::size_t kOrgKindCount = 7;
+
 /// All organizations evaluated in the paper's figures, in the paper's order.
 inline constexpr OrgKind kPaperOrgs[] = {
     OrgKind::kCoo, OrgKind::kLinear, OrgKind::kGcsr, OrgKind::kGcsc,

@@ -40,14 +40,11 @@ std::vector<std::size_t> BcsrFormat::build(const CoordBuffer& coords,
 
   const std::size_t n = coords.size();
   std::vector<index_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    index_t row = 0;
-    index_t col = 0;
-    to_2d(coords.point(i), row, col);
+  map_to_2d(coords, [&](std::size_t i, index_t row, index_t col) {
     const index_t block =
         (row / kBlockRows) * n_block_cols + (col / kBlockCols);
     keys[i] = block * (kBlockRows * kBlockCols) + bit_of(row, col);
-  }
+  });
   const std::vector<std::size_t> perm = sort_permutation(keys);
 
   // Walk sorted points, emitting one entry per distinct block.
@@ -143,7 +140,8 @@ void BcsrFormat::scan_box(const Box& box, CoordBuffer& points,
         if (row >= rows_ || col >= cols_) continue;  // defensive
         const index_t address = row * cols_ + col;
         if (address < lo_addr || address > hi_addr) continue;
-        delinearize_local(address, local_box_, point);
+        // Inside the window, so below the cell count linearize_local checked.
+        detail::local_point(address, local_box_, point);
         if (box.contains(point)) {
           points.append(point);
           slots.push_back(slot);

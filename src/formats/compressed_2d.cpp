@@ -141,15 +141,13 @@ std::vector<std::size_t> Compressed2DFormat<Axis>::build(
     return {};
   }
 
-  // Lines 7-11: transform each point to its 2-D coordinates; every point
-  // writes only its own slots, so the transform fans out across workers.
+  // Lines 7-11: transform each point to its 2-D coordinates.
   const std::size_t n = coords.size();
   std::vector<index_t> major_of(n);
   std::vector<index_t> minor_of(n);
-  parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      to_line(coords.point(i), major_of[i], minor_of[i]);
-    }
+  map_to_2d(coords, [&](std::size_t i, index_t row, index_t col) {
+    major_of[i] = Axis == MajorAxis::kRows ? row : col;
+    minor_of[i] = Axis == MajorAxis::kRows ? col : row;
   });
 
   // Lines 12-13 fused (GCSC++'s differences (2) and (3)): lines are bounded
@@ -244,7 +242,9 @@ void Compressed2DFormat<Axis>::scan_box(
   // (r+1)*cols) windows, so GCSR++ visits only the rows intersecting the
   // box's address range. Columns interleave through it (col = addr mod
   // cols), so GCSC++ cannot prune a whole column and walks them all. Each
-  // surviving entry is reconstructed and filtered by the window + box test.
+  // surviving entry is reconstructed and filtered by the window + box test;
+  // the window lies inside the box just linearized, so the rebuild needs
+  // no checks of its own.
   index_t line = 0;
   index_t end = lines();
   if constexpr (Axis == MajorAxis::kRows) {
@@ -260,7 +260,7 @@ void Compressed2DFormat<Axis>::scan_box(
                                   ? line * cols_ + ind_[i]
                                   : ind_[i] * cols_ + line;
       if (address < lo_addr || address > hi_addr) continue;
-      delinearize_local(address, local_box_, point);
+      detail::local_point(address, local_box_, point);
       if (box.contains(point)) {
         points.append(point);
         slots.push_back(i);

@@ -19,6 +19,7 @@
 // column sort and value reorganization fight the input layout.
 #pragma once
 
+#include "core/linearize.hpp"
 #include "formats/format.hpp"
 
 namespace artsparse {
@@ -30,6 +31,7 @@ namespace artsparse {
 class Mapped2DFormat : public SparseFormat {
  public:
   const Shape& tensor_shape() const override { return shape_; }
+  const Box* fitted_box() const override { return &local_box_; }
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
@@ -47,6 +49,17 @@ class Mapped2DFormat : public SparseFormat {
   /// the point lies outside the local bounding box (guaranteed miss).
   bool to_2d(std::span<const index_t> point, index_t& row,
              index_t& col) const;
+
+  /// to_2d() for every point of the `coords` that fit_2d() fitted the
+  /// local box to, calling fn(i, row, col) for point i, with the box's
+  /// checks made once (for_each_local_address).
+  template <typename Fn>
+  void map_to_2d(const CoordBuffer& coords, Fn&& fn) const {
+    for_each_local_address(coords, local_box_,
+                           [&](std::size_t i, index_t address) {
+                             fn(i, address / cols_, address % cols_);
+                           });
+  }
 
   /// The mapping's index prefix: shape | box flag + lo + hi | rows | cols.
   void save_2d(BufferWriter& out) const;

@@ -21,13 +21,13 @@ void SparseFormat::validate() const {
 }
 
 std::size_t SparseFormat::index_bytes() const {
-  BufferWriter writer;
-  save(writer);
-  return writer.size();
+  BufferWriter sizer = BufferWriter::sizer();
+  save(sizer);
+  return sizer.size();
 }
 
 Bytes serialize_format(const SparseFormat& format) {
-  BufferWriter writer;
+  BufferWriter writer(format.index_bytes());
   format.save(writer);
   return writer.take();
 }

@@ -95,6 +95,11 @@ class SparseFormat {
   /// Dense shape the format was built against.
   virtual const Shape& tensor_shape() const = 0;
 
+  /// The points' bounding box when build() fitted one to them (GCSR++,
+  /// GCSC++, BCSR), else null: the write path reuses it rather than make
+  /// a second pass over the coordinates.
+  virtual const Box* fitted_box() const { return nullptr; }
+
   /// Wall seconds the most recent build() spent deriving its sort
   /// permutation (key precompute + sort / counting pass); 0 for formats
   /// that do not sort or before any build. Feeds WriteBreakdown.build_sort

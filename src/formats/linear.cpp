@@ -18,13 +18,16 @@ std::vector<std::size_t> LinearFormat::build(const CoordBuffer& coords,
     local_box_ = Box();
   }
 
-  addresses_.clear();
-  addresses_.reserve(coords.size());
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    const auto p = coords.point(i);
-    addresses_.push_back(addressing_ == LinearAddressing::kLocal
-                             ? linearize_local(p, local_box_)
-                             : linearize(p, shape_));
+  addresses_.resize(coords.size());
+  if (local_box_.empty()) {
+    for (std::size_t i = 0; i < addresses_.size(); ++i) {
+      addresses_[i] = linearize(coords.point(i), shape_);
+    }
+  } else {
+    for_each_local_address(coords, local_box_,
+                           [&](std::size_t i, index_t address) {
+                             addresses_[i] = address;
+                           });
   }
   // LINEAR keeps input order: identity map.
   std::vector<std::size_t> map(coords.size());
@@ -72,7 +75,8 @@ void LinearFormat::scan_box(const Box& box, CoordBuffer& points,
     std::vector<index_t> point(shape_.rank());
     for (std::size_t i = 0; i < addresses_.size(); ++i) {
       if (addresses_[i] < lo || addresses_[i] > hi) continue;
-      delinearize_local(addresses_[i], local_box_, point);
+      // Inside the window, so below the cell count linearize_local checked.
+      detail::local_point(addresses_[i], local_box_, point);
       if (box.contains(point)) {
         points.append(point);
         slots.push_back(i);

@@ -244,6 +244,32 @@ class MetricsRegistry {
 /// Shorthand for MetricsRegistry::global().
 inline MetricsRegistry& registry() { return MetricsRegistry::global(); }
 
+/// The series of one histogram whose single label takes one of N values
+/// (an enum's, named by its to_string()). Each series resolves through the
+/// registry on its first observation and is kept, so later ones take no
+/// lock and allocate nothing. Serves ARTSPARSE_OBSERVE_ENUM.
+template <std::size_t N>
+class HistogramFamily {
+ public:
+  /// Racing first uses both register, and the registry hands both the same
+  /// series.
+  template <typename Enum>
+  Histogram& get(std::string_view name, std::string_view label_key,
+                 Enum label) {
+    std::atomic<Histogram*>& slot = slots_.at(static_cast<std::size_t>(label));
+    Histogram* series = slot.load(std::memory_order_acquire);
+    if (series == nullptr) {
+      series = &registry().histogram(
+          name, "", {{std::string(label_key), to_string(label)}});
+      slot.store(series, std::memory_order_release);
+    }
+    return *series;
+  }
+
+ private:
+  std::array<std::atomic<Histogram*>, N> slots_{};
+};
+
 }  // namespace artsparse::obs
 
 // ---------------------------------------------------------------------------
@@ -253,6 +279,9 @@ inline MetricsRegistry& registry() { return MetricsRegistry::global(); }
 // under ARTSPARSE_OBS_DISABLED. The _L variants take one label pair whose
 // value varies at runtime (per-organization series) and therefore skip the
 // static cache — use them where the surrounding work dwarfs a map lookup.
+// ARTSPARSE_OBSERVE_ENUM is the _L form for a label that is an enum value
+// below `label_count`, named by its to_string(): it caches one series per
+// value, so a hot path pays no lookup after each value's first use.
 // ---------------------------------------------------------------------------
 #if !defined(ARTSPARSE_OBS_DISABLED)
 #define ARTSPARSE_OBS_ENABLED 1
@@ -289,6 +318,15 @@ inline MetricsRegistry& registry() { return MetricsRegistry::global(); }
       .histogram(name, "", {{label_key, label_value}})              \
       .observe(static_cast<double>(value))
 
+#define ARTSPARSE_OBSERVE_ENUM(name, label_key, label_enum, label_count, \
+                               value)                                    \
+  do {                                                                   \
+    static ::artsparse::obs::HistogramFamily<label_count>                \
+        artsparse_obs_family;                                            \
+    artsparse_obs_family.get(name, label_key, label_enum)                \
+        .observe(static_cast<double>(value));                            \
+  } while (0)
+
 #else  // ARTSPARSE_OBS_DISABLED
 
 // sizeof() keeps the operands name-checked (and "used" for -Wunused)
@@ -302,6 +340,9 @@ inline MetricsRegistry& registry() { return MetricsRegistry::global(); }
 #define ARTSPARSE_COUNT_L(name, label_key, label_value, delta) \
   do { static_cast<void>(sizeof(delta)); } while (0)
 #define ARTSPARSE_OBSERVE_L(name, label_key, label_value, value) \
+  do { static_cast<void>(sizeof(value)); } while (0)
+#define ARTSPARSE_OBSERVE_ENUM(name, label_key, label_enum, label_count, \
+                               value)                                    \
   do { static_cast<void>(sizeof(value)); } while (0)
 
 #endif  // ARTSPARSE_OBS_DISABLED

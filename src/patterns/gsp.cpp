@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -17,9 +18,11 @@ void append_bernoulli_cells(const Box& box, double p, Xoshiro256& rng,
   const index_t cells = box.cell_count();
   std::vector<index_t> point(box.rank());
 
+  // Every address below is under `cells`, the box's checks made once
+  // above, so the per-cell rebuild checks nothing.
   if (p >= 1.0) {
     for (index_t address = 0; address < cells; ++address) {
-      delinearize_local(address, box, point);
+      detail::local_point(address, box, point);
       if (exclude.empty() || !exclude.contains(point)) {
         out.append(point);
       }
@@ -29,7 +32,13 @@ void append_bernoulli_cells(const Box& box, double p, Xoshiro256& rng,
 
   // Geometric gap sampling: the distance between consecutive successes of a
   // Bernoulli(p) process is Geometric(p), so we jump straight from hit to
-  // hit in O(#hits) expected time.
+  // hit in O(#hits) expected time. Room for the expected hits plus four
+  // standard deviations up front: each regrowth would copy the buffer.
+  const double expected = p * static_cast<double>(cells);
+  out.reserve(out.size() +
+              static_cast<std::size_t>(std::min(
+                  expected + 4.0 * std::sqrt(expected) + 16.0,
+                  static_cast<double>(cells))));
   const double log1mp = std::log1p(-p);
   double cursor = -1.0;
   while (true) {
@@ -39,7 +48,7 @@ void append_bernoulli_cells(const Box& box, double p, Xoshiro256& rng,
     cursor += skip + 1.0;
     if (cursor >= static_cast<double>(cells)) break;
     const auto address = static_cast<index_t>(cursor);
-    delinearize_local(address, box, point);
+    detail::local_point(address, box, point);
     if (exclude.empty() || !exclude.contains(point)) {
       out.append(point);
     }

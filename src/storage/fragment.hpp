@@ -25,6 +25,8 @@
 
 namespace artsparse {
 
+class SparseFormat;  // formats/format.hpp
+
 inline constexpr std::uint32_t kFragmentMagic = 0x41535046;  // "ASPF"
 inline constexpr std::uint32_t kFragmentVersion = 1;
 
@@ -59,11 +61,33 @@ struct FragmentInfo {
   value_t value_max = 0;
 };
 
+/// A checked fragment whose sections view the bytes it was parsed from.
+struct FragmentView {
+  FragmentInfo info;
+  std::span<const std::byte> index;   ///< as stored (codec-encoded)
+  std::span<const std::byte> values;  ///< info.value_count f64s, unaligned
+
+  /// The value section copied into its own buffer.
+  std::vector<value_t> copy_values() const;
+};
+
 /// Serializes a fragment (applying its codec to the index section).
 Bytes encode_fragment(const Fragment& fragment);
 
-/// Parses and validates a whole fragment, verifying the checksum and
-/// decoding the index section through the recorded codec.
+/// Serializes a fragment from its parts into one buffer of exactly the
+/// file's length, with the same bytes as the Fragment overload: the
+/// identity codec saves `format` straight into it. Reads org, codec, shape,
+/// bbox and point_count from `info`, and fills in its index_bytes,
+/// value_count and value statistics.
+Bytes encode_fragment(FragmentInfo& info, const SparseFormat& format,
+                      std::span<const value_t> values);
+
+/// Verifies the checksum and parses the header and section lengths,
+/// copying nothing.
+FragmentView view_fragment(std::span<const std::byte> data);
+
+/// view_fragment(), then decodes the index section through the recorded
+/// codec and copies both sections out.
 Fragment decode_fragment(std::span<const std::byte> data);
 
 /// Parses only the header.

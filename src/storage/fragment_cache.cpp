@@ -19,23 +19,32 @@ std::shared_ptr<const OpenFragment> load_open_fragment(
     auto device = open_for_read(path, model);
     raw = device->read_at(0, device->size());
   }
-  Fragment fragment = decode_fragment(raw);
+  const FragmentView view = view_fragment(raw);
+
+  // The format loads its arrays straight from the file bytes under the
+  // identity codec; other codecs decode the index section first.
+  Bytes decoded;
+  std::span<const std::byte> index = view.index;
+  if (view.info.codec != CodecKind::kIdentity) {
+    decoded = make_codec(view.info.codec)->decode(view.index);
+    index = decoded;
+  }
 
   auto open = std::make_shared<OpenFragment>();
-  open->org = fragment.org;
-  open->shape = fragment.shape;
-  open->bbox = fragment.bbox;
-  open->point_count = fragment.point_count;
+  open->org = view.info.org;
+  open->shape = view.info.shape;
+  open->bbox = view.info.bbox;
+  open->point_count = view.info.point_count;
   open->file_bytes = raw.size();
   // load_format() rather than a bare load(): it applies the paranoid
   // deep-invariant pass (ARTSPARSE_PARANOID) to every fragment opened
   // through the cache.
-  open->format = load_format(fragment.org, fragment.index);
-  open->values = std::move(fragment.values);
+  open->format = load_format(view.info.org, index);
+  open->values = view.copy_values();
   // Budget accounting: the two payloads that dominate the resident size.
   // The decoded in-memory index is approximated by its serialized size.
-  open->memory_bytes = open->values.size() * sizeof(value_t) +
-                       fragment.index.size() + sizeof(OpenFragment);
+  open->memory_bytes = open->values.size() * sizeof(value_t) + index.size() +
+                       sizeof(OpenFragment);
   return open;
 }
 

@@ -217,9 +217,9 @@ std::vector<ReadResult> Snapshot::run(std::span<const Box> regions,
             }
             partial.ends.push_back(partial.values.size());
             partial.query.push_back(timer.seconds());
-            ARTSPARSE_OBSERVE_L("artsparse_format_read_ns", "org",
-                                to_string(fragment.org),
-                                partial.query.back() * 1e9);
+            ARTSPARSE_OBSERVE_ENUM("artsparse_format_read_ns", "org",
+                                   fragment.org, kOrgKindCount,
+                                   partial.query.back() * 1e9);
           }
         } catch (const Error& e) {
           if (fault_policy_ == ReadFaultPolicy::kStrict) throw;
@@ -431,17 +431,18 @@ WriteResult FragmentStore::write_locked(const CoordBuffer& coords,
   build_span.end();
   result.times.build = timer.seconds();
   result.times.build_sort = format->last_build_sort_seconds();
-  ARTSPARSE_OBSERVE_L("artsparse_format_build_ns", "org", to_string(org),
-                      result.times.build * 1e9);
-  ARTSPARSE_OBSERVE_L("artsparse_format_build_sort_ns", "org", to_string(org),
-                      result.times.build_sort * 1e9);
+  ARTSPARSE_OBSERVE_ENUM("artsparse_format_build_ns", "org", org, kOrgKindCount,
+                         result.times.build * 1e9);
+  ARTSPARSE_OBSERVE_ENUM("artsparse_format_build_sort_ns", "org", org,
+                         kOrgKindCount, result.times.build_sort * 1e9);
 
   // Reorganize b_data based on map if necessary (line 5). COO/LINEAR return
   // the identity; skip the gather entirely, matching the paper's zero-cost
-  // "Reorg." rows for them.
+  // "Reorg." rows for them, and encode the caller's values as they are.
   timer.reset();
   ARTSPARSE_SPAN_TYPE reorg_span("write.reorg", "store");
   std::vector<value_t> reorganized;
+  std::span<const value_t> ordered = values;
   bool identity = true;
   for (std::size_t i = 0; i < map.size(); ++i) {
     if (map[i] != i) {
@@ -449,9 +450,7 @@ WriteResult FragmentStore::write_locked(const CoordBuffer& coords,
       break;
     }
   }
-  if (identity) {
-    reorganized.assign(values.begin(), values.end());
-  } else {
+  if (!identity) {
     // `map` is a permutation (build() inverts its sort permutation), so
     // every slot is written exactly once — the scatter chunks across
     // workers without write conflicts.
@@ -461,23 +460,27 @@ WriteResult FragmentStore::write_locked(const CoordBuffer& coords,
         reorganized[map[i]] = values[i];
       }
     });
+    ordered = reorganized;
   }
   reorg_span.end();
   result.times.reorg = timer.seconds();
 
-  // Concatenate buffers and build the fragment (lines 6-7, "Others").
+  // Concatenate buffers and build the fragment (lines 6-7, "Others"): the
+  // header, index and values go into one buffer of the file's length.
   timer.reset();
   ARTSPARSE_SPAN_TYPE encode_span("write.encode", "store");
-  Fragment fragment;
-  fragment.org = org;
-  fragment.codec = codec_;
-  fragment.shape = shape_;
-  fragment.bbox = coords.empty() ? Box() : Box::bounding(coords);
-  fragment.point_count = coords.size();
-  fragment.index = serialize_format(*format);
-  result.index_bytes = fragment.index.size();
-  fragment.values = std::move(reorganized);
-  const Bytes encoded = encode_fragment(fragment);
+  FragmentInfo header;
+  header.org = org;
+  header.codec = codec_;
+  header.shape = shape_;
+  if (const Box* fitted = format->fitted_box()) {
+    header.bbox = *fitted;
+  } else if (!coords.empty()) {
+    header.bbox = Box::bounding(coords);
+  }
+  header.point_count = coords.size();
+  result.index_bytes = format->index_bytes();
+  const Bytes encoded = encode_fragment(header, *format, ordered);
   encode_span.end();
   const std::filesystem::path path = next_fragment_path();
   result.times.others = timer.seconds();
@@ -506,14 +509,6 @@ WriteResult FragmentStore::write_locked(const CoordBuffer& coords,
 
   result.path = path.string();
   result.file_bytes = encoded.size();
-  value_t lo = 0;
-  value_t hi = 0;
-  if (!fragment.values.empty()) {
-    const auto [min_it, max_it] =
-        std::minmax_element(fragment.values.begin(), fragment.values.end());
-    lo = *min_it;
-    hi = *max_it;
-  }
 
   // Publish the successor manifest: the committed fragment set plus the
   // new entry (write), or only the new entry with every predecessor
@@ -533,11 +528,11 @@ WriteResult FragmentStore::write_locked(const CoordBuffer& coords,
   entry.file = std::make_shared<FragmentFile>(path);
   entry.cache_key = path.string() + "@g" +
                     std::to_string(current->generation() + 1);
-  entry.bbox = fragment.bbox;
+  entry.bbox = std::move(header.bbox);
   entry.org = org;
   entry.file_bytes = encoded.size();
-  entry.value_min = lo;
-  entry.value_max = hi;
+  entry.value_min = header.value_min;
+  entry.value_max = header.value_max;
   entries.push_back(std::move(entry));
   publish_locked(std::move(entries));
 

@@ -24,6 +24,18 @@ class BufferWriter {
  public:
   BufferWriter() = default;
 
+  /// Reserves `capacity` bytes: a writer sized to its final length copies
+  /// each byte once and never reallocates.
+  explicit BufferWriter(std::size_t capacity) { buffer_.reserve(capacity); }
+
+  /// A writer that stores nothing: size() after a save() into it is that
+  /// serialization's length, at the cost of its puts, not of its bytes.
+  static BufferWriter sizer() {
+    BufferWriter writer;
+    writer.sizing_ = true;
+    return writer;
+  }
+
   void put_u8(std::uint8_t v) { put_raw(&v, 1); }
   void put_u32(std::uint32_t v) { put_pod(v); }
   void put_u64(std::uint64_t v) { put_pod(v); }
@@ -52,7 +64,7 @@ class BufferWriter {
     put_raw(b.data(), b.size());
   }
 
-  std::size_t size() const { return buffer_.size(); }
+  std::size_t size() const { return sizing_ ? sized_ : buffer_.size(); }
   const Bytes& bytes() const { return buffer_; }
   Bytes take() { return std::move(buffer_); }
 
@@ -64,11 +76,17 @@ class BufferWriter {
   }
 
   void put_raw(const void* data, std::size_t n) {
+    if (sizing_) {
+      sized_ += n;
+      return;
+    }
     const auto* p = static_cast<const std::byte*>(data);
     buffer_.insert(buffer_.end(), p, p + n);
   }
 
   Bytes buffer_;
+  bool sizing_ = false;
+  std::size_t sized_ = 0;  ///< bytes a sizer() has counted
 };
 
 /// Sequential reader over a byte span; every access is bounds-checked.
@@ -123,6 +141,13 @@ class BufferReader {
     return b;
   }
 
+  /// A length-prefixed vector's element bytes, viewed rather than copied
+  /// (and unaligned: callers memcpy them out).
+  std::span<const std::byte> view_vec_bytes(std::size_t element_size) {
+    const std::uint64_t n = get_checked_count(element_size);
+    return view_bytes(n * element_size);
+  }
+
   std::size_t remaining() const { return data_.size() - offset_; }
   std::size_t offset() const { return offset_; }
   bool exhausted() const { return offset_ == data_.size(); }
@@ -158,7 +183,18 @@ class BufferReader {
 };
 
 /// CRC-32 (ISO-HDLC polynomial) over a byte span; fragments carry a payload
-/// checksum so storage corruption is detected at read time.
+/// checksum so storage corruption is detected at read time. Runs the
+/// carry-less-multiply kernel where the CPU has one, slice-by-8 elsewhere.
 std::uint32_t crc32(std::span<const std::byte> data);
+
+namespace detail {
+/// The two CRC-32 kernels behind crc32(), each callable on its own so
+/// tests run both on every host. Both return crc32(data).
+std::uint32_t crc32_slice8(std::span<const std::byte> data);
+/// Folds 64 bytes per step with PCLMULQDQ. Only callable when
+/// crc32_clmul_supported().
+std::uint32_t crc32_clmul(std::span<const std::byte> data);
+bool crc32_clmul_supported();
+}  // namespace detail
 
 }  // namespace artsparse

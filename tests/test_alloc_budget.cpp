@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -36,10 +37,12 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
-/// malloc (or posix_memalign) behind a counter; null when out of memory.
+/// malloc (or posix_memalign) behind two counters; null when out of memory.
 void* counted_alloc(std::size_t size, std::size_t alignment) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   if (alignment <= alignof(std::max_align_t)) return std::malloc(size);
   void* p = nullptr;
@@ -120,11 +123,15 @@ constexpr OrgKind kAllOrgs[] = {
     OrgKind::kCoo, OrgKind::kLinear,    OrgKind::kGcsr, OrgKind::kGcsc,
     OrgKind::kCsf, OrgKind::kSortedCoo, OrgKind::kBcsr};
 
-/// Heap allocations since construction, on every thread.
+/// Heap allocations, and the bytes they asked for, since construction, on
+/// every thread.
 class AllocationCounter {
  public:
   std::uint64_t count() const {
     return g_allocations.load(std::memory_order_relaxed) - start_;
+  }
+  std::uint64_t bytes() const {
+    return g_bytes.load(std::memory_order_relaxed) - start_bytes_;
   }
   double per(std::size_t n) const {
     return static_cast<double>(count()) / static_cast<double>(n);
@@ -132,6 +139,7 @@ class AllocationCounter {
 
  private:
   std::uint64_t start_ = g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t start_bytes_ = g_bytes.load(std::memory_order_relaxed);
 };
 
 /// kPoints distinct random cells of a kExtent^3 tensor.
@@ -217,6 +225,25 @@ TEST_F(AllocBudget, LabeledObserveOnExistingSeriesBuildsNoMessage) {
                  "metric 'test_alloc_labeled_ns' already registered as "
                  "histogram");
   }
+}
+
+TEST_F(AllocBudget, EnumLabeledObserveAllocatesNothing) {
+  // The store's per-organization series (format read, build and build-sort
+  // time) resolve once per organization, then cost no lookup at all.
+  const auto observe = [](OrgKind org) {
+    ARTSPARSE_OBSERVE_ENUM("test_alloc_enum_ns", "org", org, kOrgKindCount,
+                           1.0);
+  };
+  for (const OrgKind org : kAllOrgs) observe(org);
+  constexpr int kCalls = 1000;
+  const AllocationCounter counter;
+  for (int i = 0; i < kCalls; ++i) observe(kAllOrgs[i % std::size(kAllOrgs)]);
+  EXPECT_EQ(counter.count(), 0u);
+  // The same series ARTSPARSE_OBSERVE_L names, so exports do not change.
+  EXPECT_EQ(&obs::registry().histogram("test_alloc_enum_ns", "",
+                                       {{"org", "GCSR++"}}),
+            &obs::registry().histogram("test_alloc_enum_ns", "",
+                                       {{"org", to_string(OrgKind::kGcsr)}}));
 }
 #endif
 
@@ -322,6 +349,38 @@ TEST_P(StoreAllocBudget, WriteAndColdAndWarmScanOnEveryOrg) {
         << warm_allocs << " allocs for " << warm_result.values.size()
         << " hits, warm";
   }
+}
+
+TEST_F(StoreAllocBudget, IdentityWriteAndColdScanAllocateOneBufferPerCopy) {
+  // Bytes, not calls: one GCSR++ write and one cold scan, identity codec.
+  // A write holds the build's five n-entry arrays (two transform outputs,
+  // the permutation, the minor index, the map), the reorganized values and
+  // one file-sized encode buffer. A cold scan holds the file bytes, the
+  // format's arrays (the index, minus its few header words), the values
+  // and its hits. Measured with 100k points, 12481 hits and a 1.6 MB file:
+  // 6.43 MB per write (8.84 MB before the encode wrote into one buffer)
+  // and 6.36 MB per scan (7.16 MB before the load stopped copying the
+  // index). Each removed copy was at least the 0.8 MB index, well past
+  // the 64 KiB slack for thread-count-dependent scratch.
+  const CoordBuffer coords = unique_points(shape_);
+  const std::vector<value_t> values(coords.size(), 1.0);
+  const std::uint64_t n_bytes = coords.size() * sizeof(index_t);
+  constexpr std::uint64_t kSlack = 64 << 10;
+  FragmentStore store(dir_, shape_, DeviceModel::unthrottled(),
+                      CodecKind::kIdentity, std::make_shared<FragmentCache>(0));
+
+  const AllocationCounter write;
+  const WriteResult written = store.write(coords, values, OrgKind::kGcsr);
+  EXPECT_LE(write.bytes(), 6 * n_bytes + written.file_bytes + kSlack);
+
+  const AllocationCounter scan;
+  const ReadResult result = store.scan_region(query_box());
+  const std::uint64_t scan_bytes = scan.bytes();
+  ASSERT_EQ(result.values.size(), 12481u);
+  // 256 bytes per hit: its coordinates, value, slot and merge keys, each
+  // in buffers that grow by doubling.
+  EXPECT_LE(scan_bytes, written.file_bytes + written.index_bytes + n_bytes +
+                            256 * result.values.size() + kSlack);
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, StoreAllocBudget,

@@ -155,5 +155,34 @@ TEST(FragmentCorpus, EverySeedDecodesAndReencodesToTheSameBytes) {
   }
 }
 
+/// The write path encodes from the built format and the value span, not
+/// from a Fragment: it must write the corpus bytes too.
+TEST(FragmentCorpus, EverySeedReencodesFromItsLoadedFormatToTheSameBytes) {
+  const std::filesystem::path dir(ARTSPARSE_FRAGMENT_CORPUS_DIR);
+  for (const OrgKind org : all_org_kinds()) {
+    for (const CodecKind codec : {CodecKind::kIdentity,
+                                  CodecKind::kDeltaVarint, CodecKind::kRle}) {
+      const std::string name =
+          to_string(org) + "_" + to_string(codec) + ".asf";
+      SCOPED_TRACE(name);
+      const Bytes bytes = read_file((dir / name).string());
+      const Fragment fragment = decode_fragment(bytes);
+      const auto format = load_format(fragment.org, fragment.index);
+      FragmentInfo info;
+      info.org = fragment.org;
+      info.codec = fragment.codec;
+      info.shape = fragment.shape;
+      info.bbox = fragment.bbox;
+      info.point_count = fragment.point_count;
+      EXPECT_EQ(encode_fragment(info, *format, fragment.values), bytes);
+      const FragmentInfo stored = decode_fragment_info(bytes);
+      EXPECT_EQ(info.index_bytes, stored.index_bytes);
+      EXPECT_EQ(info.value_count, stored.value_count);
+      EXPECT_EQ(info.value_min, stored.value_min);
+      EXPECT_EQ(info.value_max, stored.value_max);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace artsparse

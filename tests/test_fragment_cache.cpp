@@ -6,6 +6,8 @@
 #include <cstdlib>
 
 #include "core/linearize.hpp"
+#include "storage/file_io.hpp"
+#include "storage/fragment.hpp"
 #include "storage/fragment_store.hpp"
 #include "test_support.hpp"
 #include "tiles/tiled_store.hpp"
@@ -40,6 +42,31 @@ class FragmentCacheTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+TEST_F(FragmentCacheTest, OpenFragmentChargesValuesPlusDecodedIndex) {
+  // The identity codec loads the format straight from the file bytes, with
+  // no decoded index copy; the budget charge must not notice.
+  for (const CodecKind codec : {CodecKind::kIdentity, CodecKind::kDeltaVarint}) {
+    SCOPED_TRACE(to_string(codec));
+    const auto dir = dir_ / to_string(codec);
+    FragmentStore store(dir, Shape{64, 64}, DeviceModel::unthrottled(), codec,
+                        std::make_shared<FragmentCache>(0));
+    CoordBuffer coords(2);
+    std::vector<value_t> values;
+    for (index_t r = 0; r < 8; ++r) {
+      coords.append({r, 7 - r});
+      values.push_back(static_cast<value_t>(r));
+    }
+    const std::string path = store.write(coords, values, OrgKind::kGcsr).path;
+    const Fragment decoded = decode_fragment(read_file(path));
+    const auto open = load_open_fragment(path, DeviceModel::unthrottled());
+    EXPECT_EQ(open->memory_bytes, decoded.values.size() * sizeof(value_t) +
+                                      decoded.index.size() +
+                                      sizeof(OpenFragment));
+    EXPECT_EQ(open->values, decoded.values);
+    EXPECT_EQ(open->file_bytes, std::filesystem::file_size(path));
+  }
+}
 
 TEST_F(FragmentCacheTest, HitAndMissAccounting) {
   const Shape shape{64, 64};

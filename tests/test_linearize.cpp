@@ -31,12 +31,6 @@ TEST(Linearize, RowMajorLastDimFastest) {
   EXPECT_EQ(linearize(v({1, 0}), shape), 6u);
 }
 
-TEST(Linearize, ColMajorFirstDimFastest) {
-  const Shape shape{4, 6};
-  EXPECT_EQ(linearize_col_major(v({1, 0}), shape), 1u);
-  EXPECT_EQ(linearize_col_major(v({0, 1}), shape), 4u);
-}
-
 TEST(Linearize, DelinearizeRoundTrip) {
   const Shape shape{5, 7, 3};
   std::vector<index_t> point(3);

@@ -94,6 +94,25 @@ TEST(Serializer, OffsetTracksReads) {
   EXPECT_EQ(reader.remaining(), 4u);
 }
 
+TEST(Serializer, SizerCountsWhatAWriterWrites) {
+  const std::vector<std::uint64_t> words{1, 2, 3};
+  const std::vector<double> reals{0.5};
+  const auto put_all = [&](BufferWriter& out) {
+    out.put_u8(7);
+    out.put_u32(8);
+    out.put_u64_vec(words);
+    out.put_f64_vec(reals);
+    out.put_string("abc");
+  };
+  BufferWriter sizer = BufferWriter::sizer();
+  put_all(sizer);
+  BufferWriter writer(sizer.size());
+  put_all(writer);
+  EXPECT_EQ(sizer.size(), writer.size());
+  EXPECT_EQ(sizer.size(), 1u + 4u + (8u + 24u) + (8u + 8u) + (8u + 3u));
+  EXPECT_TRUE(sizer.bytes().empty());
+}
+
 TEST(Crc32, KnownVectors) {
   // CRC-32 of "123456789" is the classic check value 0xcbf43926.
   const std::string s = "123456789";
@@ -139,6 +158,49 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
 TEST(Crc32, MatchesBitwiseReferenceOnOneMebibyte) {
   const Bytes data = random_bytes(std::size_t{1} << 20, 12);
   EXPECT_EQ(crc32(data), reference_crc32(data));
+}
+
+/// Checks `kernel` against the bitwise reference at every length 0-600 and
+/// every start offset 0-15: the CLMUL kernel's 64-byte folds, its 16-byte
+/// finish and every tail, at every alignment of its 16-byte loads.
+void expect_kernel_matches_reference(
+    std::uint32_t (*kernel)(std::span<const std::byte>)) {
+  const Bytes data = random_bytes(600 + 16, 13);
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 600; ++length) {
+      const auto bytes =
+          std::span<const std::byte>(data).subspan(offset, length);
+      if (kernel(bytes) != reference_crc32(bytes) && mismatches++ == 0) {
+        ADD_FAILURE() << "first mismatch at offset " << offset << " length "
+                      << length;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32, Slice8KernelMatchesReferenceAtEveryLengthAndOffset) {
+  expect_kernel_matches_reference(detail::crc32_slice8);
+}
+
+TEST(Crc32, ClmulKernelMatchesReferenceAtEveryLengthAndOffset) {
+  if (!detail::crc32_clmul_supported()) {
+    GTEST_SKIP() << "this CPU has no carry-less multiply";
+  }
+  expect_kernel_matches_reference(detail::crc32_clmul);
+}
+
+TEST(Crc32, BothKernelsMatchReferenceOnThirteenMebibytes) {
+  // About one paper_grid set-up's worth of fragment bytes, and not a
+  // multiple of the 64-byte fold.
+  const Bytes data = random_bytes((std::size_t{13} << 20) + 37, 14);
+  const std::uint32_t expected = reference_crc32(data);
+  EXPECT_EQ(detail::crc32_slice8(data), expected);
+  EXPECT_EQ(crc32(data), expected);
+  if (detail::crc32_clmul_supported()) {
+    EXPECT_EQ(detail::crc32_clmul(data), expected);
+  }
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
