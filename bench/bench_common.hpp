@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "artsparse.hpp"
+#include "lib/harness.hpp"
+#include "lib/report.hpp"
+#include "lib/scoring.hpp"
 
 namespace artsparse::bench {
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "bench_common.hpp"
+#include "cli_support.hpp"
 
 int main() {
   using namespace artsparse;
@@ -96,7 +97,7 @@ int main() {
                    std::to_string(warm.times.cache_hits),
                    std::to_string(warm.times.cache_misses)});
     std::fprintf(stderr, "  [%s] %s\n", config.name,
-                 format_cache_stats(cache->stats()).c_str());
+                 cli::format_cache_stats(cache->stats()).c_str());
   }
   ::unsetenv("ARTSPARSE_THREADS");
 

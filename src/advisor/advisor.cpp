@@ -59,10 +59,8 @@ CostEstimate estimate(OrgKind org, const SparsityProfile& profile,
       e.rationale = "tree descent reads; space tracks prefix sharing";
       break;
     case OrgKind::kSortedCoo:
-      e.build_cost = n * log_n;
-      e.read_cost = queries * log_n;
-      e.space_words = n * d;
-      e.rationale = "binary-search reads at COO's d words/point";
+    case OrgKind::kBcsr:
+      // Extensions: recommend_organization ranks only kPaperOrgs.
       break;
   }
   return e;

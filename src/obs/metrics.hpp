@@ -331,6 +331,8 @@ class HistogramFamily {
 
 // sizeof() keeps the operands name-checked (and "used" for -Wunused)
 // without evaluating them, so a disabled build costs literally nothing.
+// Label values count as operands: a variable that only names a series
+// stays used.
 #define ARTSPARSE_COUNT(name, delta) \
   do { static_cast<void>(sizeof(delta)); } while (0)
 #define ARTSPARSE_GAUGE_ADD(name, delta) \
@@ -338,11 +340,11 @@ class HistogramFamily {
 #define ARTSPARSE_OBSERVE(name, value) \
   do { static_cast<void>(sizeof(value)); } while (0)
 #define ARTSPARSE_COUNT_L(name, label_key, label_value, delta) \
-  do { static_cast<void>(sizeof(delta)); } while (0)
+  do { static_cast<void>(sizeof(label_value) + sizeof(delta)); } while (0)
 #define ARTSPARSE_OBSERVE_L(name, label_key, label_value, value) \
-  do { static_cast<void>(sizeof(value)); } while (0)
+  do { static_cast<void>(sizeof(label_value) + sizeof(value)); } while (0)
 #define ARTSPARSE_OBSERVE_ENUM(name, label_key, label_enum, label_count, \
                                value)                                    \
-  do { static_cast<void>(sizeof(value)); } while (0)
+  do { static_cast<void>(sizeof(label_enum) + sizeof(value)); } while (0)
 
 #endif  // ARTSPARSE_OBS_DISABLED

@@ -10,7 +10,6 @@
 
 #include <cstring>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -51,12 +50,6 @@ class BufferWriter {
   void put_f64_vec(std::span<const double> v) {
     put_u64(v.size());
     put_raw(v.data(), v.size() * sizeof(double));
-  }
-
-  /// Length-prefixed UTF-8 string.
-  void put_string(const std::string& s) {
-    put_u64(s.size());
-    put_raw(s.data(), s.size());
   }
 
   /// Raw bytes without a length prefix (callers encode their own framing).
@@ -110,29 +103,10 @@ class BufferReader {
     return v;
   }
 
-  std::vector<double> get_f64_vec() {
-    const std::uint64_t n = get_checked_count(sizeof(double));
-    std::vector<double> v(n);
-    get_raw(v.data(), n * sizeof(double));
-    return v;
-  }
-
-  std::string get_string() {
-    const std::uint64_t n = get_checked_count(1);
-    std::string s(n, '\0');
-    get_raw(s.data(), n);
-    return s;
-  }
-
-  /// Takes a u64 so untrusted 64-bit lengths are bounds-checked *before*
-  /// any narrowing to size_t (a 32-bit size_t would otherwise truncate a
-  /// hostile length into a small, "valid" one).
-  Bytes get_bytes(std::uint64_t n) {
-    const std::span<const std::byte> b = view_bytes(n);
-    return Bytes(b.begin(), b.end());
-  }
-
-  /// get_bytes without the copy: the span views the reader's buffer.
+  /// The next `n` bytes, viewed rather than copied. Takes a u64 so
+  /// untrusted 64-bit lengths are bounds-checked *before* any narrowing to
+  /// size_t (a 32-bit size_t would otherwise truncate a hostile length into
+  /// a small, "valid" one).
   std::span<const std::byte> view_bytes(std::uint64_t n) {
     detail::require(n <= remaining(), "serialized buffer truncated");
     const auto count = static_cast<std::size_t>(n);

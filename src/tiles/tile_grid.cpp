@@ -1,8 +1,5 @@
 #include "tiles/tile_grid.hpp"
 
-#include <algorithm>
-
-#include "core/coords.hpp"
 #include "core/error.hpp"
 #include "core/linearize.hpp"
 
@@ -41,48 +38,6 @@ index_t TileGrid::tile_id(std::span<const index_t> tile_coords) const {
 
 index_t TileGrid::tile_id_of(std::span<const index_t> point) const {
   return tile_id(tile_of(point));
-}
-
-Box TileGrid::tile_box(std::span<const index_t> tile_coords) const {
-  detail::require(tile_coords.size() == grid_.rank(),
-                  "tile rank does not match grid rank");
-  std::vector<index_t> lo(grid_.rank());
-  std::vector<index_t> hi(grid_.rank());
-  for (std::size_t i = 0; i < grid_.rank(); ++i) {
-    detail::require(tile_coords[i] < grid_.extent(i),
-                    "tile coordinates outside grid");
-    lo[i] = tile_coords[i] * tile_.extent(i);
-    hi[i] = std::min(lo[i] + tile_.extent(i) - 1, tensor_.extent(i) - 1);
-  }
-  return Box(std::move(lo), std::move(hi));
-}
-
-Box TileGrid::tile_box_by_id(index_t tile_id) const {
-  std::vector<index_t> tile(grid_.rank());
-  delinearize(tile_id, grid_, tile);
-  return tile_box(tile);
-}
-
-std::vector<index_t> TileGrid::tiles_overlapping(const Box& box) const {
-  detail::require(box.rank() == tensor_.rank(),
-                  "box rank does not match tensor rank");
-  // Clip to the tensor, convert to a box in tile coordinates, enumerate.
-  const Box clipped = box.intersect(Box::whole(tensor_));
-  if (clipped.empty()) return {};
-  std::vector<index_t> lo(grid_.rank());
-  std::vector<index_t> hi(grid_.rank());
-  for (std::size_t i = 0; i < grid_.rank(); ++i) {
-    lo[i] = clipped.lo(i) / tile_.extent(i);
-    hi[i] = clipped.hi(i) / tile_.extent(i);
-  }
-  CoordBuffer tiles(grid_.rank());
-  enumerate_cells(Box(std::move(lo), std::move(hi)), tiles);
-  std::vector<index_t> ids;
-  ids.reserve(tiles.size());
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    ids.push_back(tile_id(tiles.point(i)));
-  }
-  return ids;
 }
 
 }  // namespace artsparse

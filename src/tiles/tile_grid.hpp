@@ -6,7 +6,9 @@
 // that decomposition: pure coordinate math, no storage.
 #pragma once
 
-#include "core/box.hpp"
+#include <span>
+#include <vector>
+
 #include "core/shape.hpp"
 
 namespace artsparse {
@@ -35,13 +37,6 @@ class TileGrid {
   /// Row-major tile id (stable naming for fragments and directories).
   index_t tile_id(std::span<const index_t> tile_coords) const;
   index_t tile_id_of(std::span<const index_t> point) const;
-
-  /// Dense region covered by the tile, clipped to the tensor boundary.
-  Box tile_box(std::span<const index_t> tile_coords) const;
-  Box tile_box_by_id(index_t tile_id) const;
-
-  /// Ids of all tiles overlapping `box`, in row-major order.
-  std::vector<index_t> tiles_overlapping(const Box& box) const;
 
  private:
   Shape tensor_;

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "benchlib/workload.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "patterns/dataset.hpp"
+#include "patterns/workload.hpp"
 
 namespace artsparse {
 namespace {

@@ -19,6 +19,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+#if defined(ARTSPARSE_OBS_ENABLED)
+
 /// Runs the CLI and captures stdout (stderr discarded). Returns the output
 /// or fails the test on a non-zero exit.
 std::string run_cli_capture(const std::string& arguments) {
@@ -39,8 +41,6 @@ std::string run_cli_capture(const std::string& arguments) {
   EXPECT_EQ(status, 0) << "non-zero exit from: " << command;
   return output;
 }
-
-#if defined(ARTSPARSE_OBS_ENABLED)
 
 TEST(ObsCliMetrics, SelftestCoversEveryHotPathArea) {
   const std::string text = run_cli_capture("metrics --format prometheus");

@@ -1,4 +1,4 @@
-#include "benchlib/harness.hpp"
+#include "lib/harness.hpp"
 
 #include <gtest/gtest.h>
 
@@ -108,6 +108,18 @@ TEST_F(HarnessTest, MeasurementTimesPopulated) {
   const Measurement m = run_workload(w, OrgKind::kGcsc, fast_options(dir_));
   EXPECT_GT(m.write_times.total(), 0.0);
   EXPECT_GT(m.read_times.total(), 0.0);
+}
+
+TEST(Workload, ScaleFromArgs) {
+  const char* argv_paper[] = {"bench", "--scale=paper"};
+  const char* argv_small[] = {"bench", "--scale=small"};
+  const char* argv_none[] = {"bench"};
+  EXPECT_EQ(scale_from_args(2, const_cast<char**>(argv_paper)),
+            ScaleKind::kPaper);
+  EXPECT_EQ(scale_from_args(2, const_cast<char**>(argv_small)),
+            ScaleKind::kSmall);
+  EXPECT_EQ(scale_from_args(1, const_cast<char**>(argv_none)),
+            ScaleKind::kSmall);
 }
 
 }  // namespace

@@ -117,23 +117,5 @@ TEST_F(Integration, FragmentFilesSurviveProcessBoundarySimulation) {
   EXPECT_EQ(result.values.size(), dataset.point_count());
 }
 
-TEST_F(Integration, ScoresFromRealGridFavorCompactFormats) {
-  // Tiny grid end-to-end through harness + scoring: COO must not win.
-  Workload w;
-  w.name = "it-2D-GSP";
-  w.shape = Shape{64, 64};
-  w.pattern = PatternKind::kGsp;
-  w.spec = GspConfig{0.05};
-  w.seed = 2;
-
-  HarnessOptions options;
-  options.work_dir = dir_;
-  options.device = DeviceModel::unthrottled();
-  const auto measurements = run_grid(
-      {w}, std::vector<OrgKind>(kPaperOrgs, kPaperOrgs + 5), options);
-  const ScoreTable scores = compute_scores(measurements);
-  EXPECT_NE(scores.best(), OrgKind::kCoo);
-}
-
 }  // namespace
 }  // namespace artsparse

@@ -1,4 +1,4 @@
-#include "benchlib/report.hpp"
+#include "lib/report.hpp"
 
 #include <gtest/gtest.h>
 
@@ -123,13 +123,6 @@ TEST(Report, FormatSeconds) {
   EXPECT_EQ(format_seconds(0.0), "0.0000");
 }
 
-TEST(Report, FormatBytes) {
-  EXPECT_EQ(format_bytes(512), "512 B");
-  EXPECT_EQ(format_bytes(1536), "1.50 KiB");
-  EXPECT_EQ(format_bytes(3u << 20), "3.00 MiB");
-  EXPECT_EQ(format_bytes(5ull << 30), "5.00 GiB");
-}
-
 TEST(Report, FormatPercent) {
   EXPECT_EQ(format_percent(0.0167), "1.67%");
   EXPECT_EQ(format_percent(1.0), "100.00%");
@@ -138,23 +131,6 @@ TEST(Report, FormatPercent) {
 TEST(Report, FormatFixed) {
   EXPECT_EQ(format_fixed(0.34, 2), "0.34");
   EXPECT_EQ(format_fixed(1.0 / 3.0, 4), "0.3333");
-}
-
-TEST(Report, FormatCacheStats) {
-  CacheStats stats;
-  stats.hits = 12;
-  stats.misses = 4;
-  stats.evictions = 1;
-  stats.open_count = 3;
-  stats.open_bytes = 1536;
-  stats.budget_bytes = 256u << 20;
-  EXPECT_EQ(format_cache_stats(stats),
-            "cache: 12 hits / 4 misses (75.00% hit rate), 1 evictions, "
-            "3 open (1.50 KiB of 256.00 MiB)");
-
-  EXPECT_EQ(format_cache_stats(CacheStats{}),
-            "cache: 0 hits / 0 misses (0.00% hit rate), 0 evictions, "
-            "0 open (0 B of 0 B)");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-#include "benchlib/scoring.hpp"
+#include "lib/scoring.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
+#include "test_support.hpp"
 
 namespace artsparse {
 namespace {
@@ -97,6 +98,27 @@ TEST(Scoring, MetricNames) {
   EXPECT_EQ(to_string(Metric::kWriteTime), "write-time");
   EXPECT_EQ(to_string(Metric::kReadTime), "read-time");
   EXPECT_EQ(to_string(Metric::kFileSize), "file-size");
+}
+
+TEST(Integration, ScoresFromRealGridFavorCompactFormats) {
+  // Tiny grid end-to-end through harness + scoring: COO must not win.
+  const std::filesystem::path dir = testing::fresh_temp_dir("integration");
+  Workload w;
+  w.name = "it-2D-GSP";
+  w.shape = Shape{64, 64};
+  w.pattern = PatternKind::kGsp;
+  w.spec = GspConfig{0.05};
+  w.seed = 2;
+
+  HarnessOptions options;
+  options.work_dir = dir;
+  options.device = DeviceModel::unthrottled();
+  const auto measurements = run_grid(
+      {w}, std::vector<OrgKind>(kPaperOrgs, kPaperOrgs + 5), options);
+  const ScoreTable scores = compute_scores(measurements);
+  EXPECT_NE(scores.best(), OrgKind::kCoo);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -27,44 +27,6 @@ TEST(TileGrid, TileOfPoint) {
   EXPECT_EQ(grid.tile_id_of(p), 2u);  // row-major in a 4x2 grid
 }
 
-TEST(TileGrid, TileBoxInteriorAndClipped) {
-  const TileGrid grid(Shape{100, 64}, Shape{32, 32});
-  const std::vector<index_t> interior{1, 1};
-  EXPECT_EQ(grid.tile_box(interior), Box({32, 32}, {63, 63}));
-  // The last row of tiles is clipped: rows 96..99 only.
-  const std::vector<index_t> edge{3, 0};
-  EXPECT_EQ(grid.tile_box(edge), Box({96, 0}, {99, 31}));
-}
-
-TEST(TileGrid, TileBoxById) {
-  const TileGrid grid(Shape{100, 64}, Shape{32, 32});
-  EXPECT_EQ(grid.tile_box_by_id(2), Box({32, 0}, {63, 31}));
-}
-
-TEST(TileGrid, EveryPointFallsInItsTileBox) {
-  const TileGrid grid(Shape{50, 70, 30}, Shape{16, 32, 30});
-  Xoshiro256 rng(5);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::vector<index_t> p{rng.next_below(50), rng.next_below(70),
-                                 rng.next_below(30)};
-    const Box box = grid.tile_box(grid.tile_of(p));
-    EXPECT_TRUE(box.contains(p));
-  }
-}
-
-TEST(TileGrid, TilesOverlappingBox) {
-  const TileGrid grid(Shape{100, 64}, Shape{32, 32});
-  // Box spanning tiles (0,0), (0,1), (1,0), (1,1).
-  const auto ids = grid.tiles_overlapping(Box({20, 20}, {40, 40}));
-  EXPECT_EQ(ids, (std::vector<index_t>{0, 1, 2, 3}));
-}
-
-TEST(TileGrid, TilesOverlappingSingleCell) {
-  const TileGrid grid(Shape{100, 64}, Shape{32, 32});
-  EXPECT_EQ(grid.tiles_overlapping(Box({96, 0}, {96, 0})),
-            (std::vector<index_t>{6}));
-}
-
 TEST(TileGrid, OversizedTileRejected) {
   EXPECT_THROW(TileGrid(Shape{16, 16}, Shape{32, 16}), FormatError);
 }

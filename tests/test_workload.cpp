@@ -1,4 +1,4 @@
-#include "benchlib/workload.hpp"
+#include "patterns/workload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -66,18 +66,6 @@ TEST(Workload, PaperGridHasNineCells) {
 TEST(Workload, NamesEncodeRankAndPattern) {
   const Workload w = make_workload(3, PatternKind::kMsp, ScaleKind::kSmall);
   EXPECT_EQ(w.name, "3D-MSP");
-}
-
-TEST(Workload, ScaleFromArgs) {
-  const char* argv_paper[] = {"bench", "--scale=paper"};
-  const char* argv_small[] = {"bench", "--scale=small"};
-  const char* argv_none[] = {"bench"};
-  EXPECT_EQ(scale_from_args(2, const_cast<char**>(argv_paper)),
-            ScaleKind::kPaper);
-  EXPECT_EQ(scale_from_args(2, const_cast<char**>(argv_small)),
-            ScaleKind::kSmall);
-  EXPECT_EQ(scale_from_args(1, const_cast<char**>(argv_none)),
-            ScaleKind::kSmall);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -150,6 +151,37 @@ WorkloadWeights parse_weights(const std::string& text) {
     return WorkloadWeights::archival();
   }
   throw FormatError("unknown weights: " + text + " (balanced|read|archive)");
+}
+
+std::string format_bytes(std::size_t bytes) {
+  char buf[64];
+  const double b = static_cast<double>(bytes);
+  if (bytes >= (1ull << 30)) {
+    std::snprintf(buf, sizeof(buf), "%.2f GiB", b / (1ull << 30));
+  } else if (bytes >= (1ull << 20)) {
+    std::snprintf(buf, sizeof(buf), "%.2f MiB", b / (1ull << 20));
+  } else if (bytes >= (1ull << 10)) {
+    std::snprintf(buf, sizeof(buf), "%.2f KiB", b / (1ull << 10));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%zu B", bytes);
+  }
+  return buf;
+}
+
+std::string format_cache_stats(const CacheStats& stats) {
+  const std::size_t lookups = stats.hits + stats.misses;
+  const double hit_rate =
+      lookups == 0 ? 0.0
+                   : static_cast<double>(stats.hits) /
+                         static_cast<double>(lookups);
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "cache: %zu hits / %zu misses (%.2f%% hit rate), "
+                "%zu evictions, %zu open (%s of %s)",
+                stats.hits, stats.misses, hit_rate * 100.0, stats.evictions,
+                stats.open_count, format_bytes(stats.open_bytes).c_str(),
+                format_bytes(stats.budget_bytes).c_str());
+  return buf;
 }
 
 void write_tsv(const std::string& path, const CoordBuffer& coords,

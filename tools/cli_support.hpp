@@ -50,6 +50,14 @@ WorkloadWeights parse_weights(const std::string& text);
 /// "1G" (case-insensitive; K/M/G are KiB/MiB/GiB). Used by --cache-bytes.
 std::size_t parse_byte_size(const std::string& text);
 
+/// Human-readable byte count: "512 B", "1.50 KiB", "3.00 MiB", "5.00 GiB".
+std::string format_bytes(std::size_t bytes);
+
+/// One-line open-fragment cache summary, e.g.
+/// "cache: 12 hits / 4 misses (75.00% hit rate), 1 evictions, 4 open
+/// (1.25 MiB of 256.00 MiB)".
+std::string format_cache_stats(const CacheStats& stats);
+
 /// Tab-separated export: one line per point, d coordinates then the value.
 void write_tsv(const std::string& path, const CoordBuffer& coords,
                std::span<const value_t> values);
