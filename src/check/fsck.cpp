@@ -1,44 +1,64 @@
 #include "check/fsck.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/error.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "storage/file_io.hpp"
 
 namespace artsparse::check {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+/// Appends `text` to `out` as a quoted JSON string.
+void append_quoted(std::string& out, const std::string& text) {
+  out += '"';
+  out += obs::json_escape(text);
+  out += '"';
+}
+
+/// The one sweep behind check_store, repair_store and FragmentStore's
+/// open/rescan: lists the directory, validates every *.asf at `depth` and,
+/// when `repair` is set, removes *.tmp orphans and renames failing
+/// fragments aside.
+StoreReport sweep(const std::filesystem::path& directory, Depth depth,
+                  bool repair) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(directory, ec)) {
+    throw IoError("not a store directory: " + directory.string());
+  }
+  StoreReport report;
+  report.directory = directory.string();
+  report.depth = depth;
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(directory)) {
+    if (!entry.is_regular_file()) continue;
+    const std::filesystem::path& path = entry.path();
+    if (path.extension() == ".asf") {
+      paths.push_back(path);
+    } else if (repair && path.extension() == kTmpSuffix) {
+      // Orphaned stage file from a crashed commit: never renamed, so never
+      // part of the committed fragment set.
+      std::filesystem::remove(path, ec);
+      ARTSPARSE_COUNT("artsparse_store_swept_tmp_total", 1);
+      report.swept_tmp.push_back(path.string());
+    } else {
+      report.strays.push_back(path.string());
     }
   }
-  return out;
+  std::sort(paths.begin(), paths.end());
+  std::sort(report.swept_tmp.begin(), report.swept_tmp.end());
+  std::sort(report.strays.begin(), report.strays.end());
+  report.fragments.reserve(paths.size());
+  for (const auto& path : paths) {
+    report.fragments.push_back(check_fragment_file(path, depth));
+    if (!repair || report.fragments.back().ok()) continue;
+    std::filesystem::rename(path, path.string() + kQuarantineSuffix, ec);
+    ARTSPARSE_COUNT("artsparse_store_quarantined_total", 1);
+    report.quarantined.push_back(path.string());
+  }
+  return report;
 }
 
 }  // namespace
@@ -52,29 +72,34 @@ std::size_t StoreReport::failed() const {
 }
 
 std::string StoreReport::to_json() const {
-  std::string out = "{\"directory\": \"" + json_escape(directory) +
-                    "\", \"depth\": \"" + check::to_string(depth) +
-                    "\", \"checked\": " + std::to_string(checked()) +
-                    ", \"failed\": " + std::to_string(failed()) +
-                    ", \"strays\": [";
+  std::string out = "{\"directory\": ";
+  append_quoted(out, directory);
+  out += ", \"depth\": \"" + check::to_string(depth) +
+         "\", \"checked\": " + std::to_string(checked()) +
+         ", \"failed\": " + std::to_string(failed()) + ", \"strays\": [";
   bool first_stray = true;
   for (const std::string& stray : strays) {
     if (!first_stray) out += ", ";
     first_stray = false;
-    out += "\"" + json_escape(stray) + "\"";
+    append_quoted(out, stray);
   }
   out += "], \"fragments\": [";
   bool first_fragment = true;
   for (const FragmentReport& fragment : fragments) {
     if (!first_fragment) out += ", ";
     first_fragment = false;
-    out += "{\"path\": \"" + json_escape(fragment.path) + "\", \"issues\": [";
+    out += "{\"path\": ";
+    append_quoted(out, fragment.path);
+    out += ", \"issues\": [";
     bool first_issue = true;
     for (const Issue& issue : fragment.issues.items()) {
       if (!first_issue) out += ", ";
       first_issue = false;
-      out += "{\"rule\": \"" + json_escape(issue.rule) + "\", \"detail\": \"" +
-             json_escape(issue.detail) + "\"}";
+      out += "{\"rule\": ";
+      append_quoted(out, issue.rule);
+      out += ", \"detail\": ";
+      append_quoted(out, issue.detail);
+      out += '}';
     }
     out += "]}";
   }
@@ -93,69 +118,18 @@ FragmentReport check_fragment_file(const std::filesystem::path& path,
     report.issues.add("fragment.io", e.what());
     return report;
   }
-  check_fragment_bytes(data, depth, report.issues);
+  report.file_bytes = data.size();
+  report.info = check_fragment_bytes(data, depth, report.issues);
   return report;
 }
 
 StoreReport check_store(const std::filesystem::path& directory, Depth depth) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(directory, ec)) {
-    throw IoError("not a store directory: " + directory.string());
-  }
-  StoreReport report;
-  report.directory = directory.string();
-  report.depth = depth;
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(directory)) {
-    if (!entry.is_regular_file()) continue;
-    if (entry.path().extension() == ".asf") {
-      paths.push_back(entry.path());
-    } else {
-      report.strays.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  std::sort(report.strays.begin(), report.strays.end());
-  report.fragments.reserve(paths.size());
-  for (const auto& path : paths) {
-    report.fragments.push_back(check_fragment_file(path, depth));
-  }
-  return report;
+  return sweep(directory, depth, /*repair=*/false);
 }
 
-RepairReport repair_store(const std::filesystem::path& directory,
-                          Depth depth) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(directory, ec)) {
-    throw IoError("not a store directory: " + directory.string());
-  }
-  RepairReport report;
-  report.directory = directory.string();
-  report.depth = depth;
-  std::vector<std::filesystem::path> fragments;
-  for (const auto& entry : std::filesystem::directory_iterator(directory)) {
-    if (!entry.is_regular_file()) continue;
-    const std::filesystem::path& path = entry.path();
-    if (path.extension() == ".asf") {
-      fragments.push_back(path);
-    } else if (path.extension() == kTmpSuffix) {
-      std::filesystem::remove(path, ec);
-      report.swept_tmp.push_back(path.string());
-    } else {
-      report.strays.push_back(path.string());
-    }
-  }
-  std::sort(fragments.begin(), fragments.end());
-  std::sort(report.swept_tmp.begin(), report.swept_tmp.end());
-  std::sort(report.strays.begin(), report.strays.end());
-  for (const auto& path : fragments) {
-    ++report.checked;
-    if (check_fragment_file(path, depth).ok()) continue;
-    const std::filesystem::path aside = path.string() + kQuarantineSuffix;
-    std::filesystem::rename(path, aside, ec);
-    report.quarantined.push_back(path.string());
-  }
-  return report;
+StoreReport repair_store(const std::filesystem::path& directory,
+                         Depth depth) {
+  return sweep(directory, depth, /*repair=*/true);
 }
 
 }  // namespace artsparse::check

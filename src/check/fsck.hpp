@@ -1,6 +1,7 @@
-// Store-level fsck: walks a FragmentStore directory, validates every
-// fragment file at a chosen Depth, and reports per-fragment issues plus a
-// machine-readable summary. This is the engine of `artsparse check`.
+// Store-level fsck: one sweep of a FragmentStore directory that validates
+// every fragment file at a chosen Depth and reports per-fragment issues
+// plus a machine-readable summary. `artsparse check` runs it read-only;
+// `artsparse repair` and FragmentStore's open/rescan run it as a repair.
 #pragma once
 
 #include <filesystem>
@@ -9,6 +10,7 @@
 
 #include "check/issues.hpp"
 #include "check/validate.hpp"
+#include "storage/fragment.hpp"
 
 namespace artsparse::check {
 
@@ -16,40 +18,38 @@ namespace artsparse::check {
 struct FragmentReport {
   std::string path;  ///< file path, as walked
   Issues issues;
+  /// The header the check parsed (default when it could not be parsed).
+  FragmentInfo info;
+  std::size_t file_bytes = 0;  ///< bytes read from the file
 
   bool ok() const { return issues.ok(); }
 };
 
-/// Validation result for a whole store directory.
+/// What one sweep of a store directory found and, under repair, fixed.
+/// Every list is sorted by name.
 struct StoreReport {
   std::string directory;
   Depth depth = Depth::kStructure;
+  /// Every *.asf validated, failing ones included.
   std::vector<FragmentReport> fragments;
-  /// Non-fragment files found in the directory (orphaned .tmp stage files,
-  /// .asf.quarantine casualties, operator droppings). Logged for the
-  /// operator but not counted as corruption: they are never loaded.
+  /// Orphaned .tmp stage files removed (repair only).
+  std::vector<std::string> swept_tmp;
+  /// Failing fragments renamed to <name>.quarantine (repair only).
+  std::vector<std::string> quarantined;
+  /// Non-fragment files left in place (.asf.quarantine casualties,
+  /// operator droppings, and under a read-only check the .tmp stage
+  /// files). Logged for the operator but not counted as corruption: they
+  /// are never loaded.
   std::vector<std::string> strays;
 
   std::size_t checked() const { return fragments.size(); }
   std::size_t failed() const;
   bool ok() const { return failed() == 0; }
+  /// Nothing to repair: no orphan swept, no fragment quarantined.
+  bool clean() const { return swept_tmp.empty() && quarantined.empty(); }
 
   /// One-object JSON summary ({"directory": ..., "fragments": [...]}).
   std::string to_json() const;
-};
-
-/// What `artsparse repair` did to a store directory: orphaned .tmp stage
-/// files removed, fragments failing validation at the chosen depth renamed
-/// to <name>.quarantine, stray files left in place but listed.
-struct RepairReport {
-  std::string directory;
-  Depth depth = Depth::kHeader;
-  std::vector<std::string> swept_tmp;
-  std::vector<std::string> quarantined;
-  std::vector<std::string> strays;
-  std::size_t checked = 0;  ///< fragments validated (kept + quarantined)
-
-  bool clean() const { return swept_tmp.empty() && quarantined.empty(); }
 };
 
 /// Recovery sweep of a store directory without opening it as a
@@ -58,12 +58,13 @@ struct RepairReport {
 /// live directory between writes; never deletes fragment data (corrupt
 /// files are renamed, not removed). Throws IoError when `directory` is not
 /// a readable directory.
-RepairReport repair_store(const std::filesystem::path& directory,
-                          Depth depth = Depth::kHeader);
+StoreReport repair_store(const std::filesystem::path& directory,
+                         Depth depth = Depth::kHeader);
 
 /// Validates every *.asf file under `directory` (sorted by name) at
-/// `depth`. Unreadable files are reported as issues, not thrown. Throws
-/// IoError only when `directory` itself is not a readable directory.
+/// `depth`, changing nothing. Unreadable files are reported as issues, not
+/// thrown. Throws IoError only when `directory` itself is not a readable
+/// directory.
 StoreReport check_store(const std::filesystem::path& directory, Depth depth);
 
 /// Validates a single fragment file.

@@ -144,11 +144,11 @@ void check_full(const Fragment& fragment, const SparseFormat& format,
 
 }  // namespace
 
-void check_fragment_bytes(std::span<const std::byte> data, Depth depth,
-                          Issues& issues) {
+FragmentInfo check_fragment_bytes(std::span<const std::byte> data,
+                                  Depth depth, Issues& issues) {
   FragmentInfo info;
   if (!check_header(data, info, issues) || depth == Depth::kHeader) {
-    return;
+    return info;
   }
 
   Fragment fragment;
@@ -156,14 +156,14 @@ void check_fragment_bytes(std::span<const std::byte> data, Depth depth,
     fragment = decode_fragment(data);
   } catch (const Error& e) {
     issues.add("fragment.decode", e.what());
-    return;
+    return info;
   }
   std::unique_ptr<SparseFormat> format;
   try {
     format = load_format(fragment.org, fragment.index);
   } catch (const Error& e) {
     issues.add("format.load", e.what());
-    return;
+    return info;
   }
   if (format->point_count() != fragment.point_count) {
     issues.add("fragment.point_count",
@@ -181,6 +181,7 @@ void check_fragment_bytes(std::span<const std::byte> data, Depth depth,
   if (depth == Depth::kFull && issues.ok()) {
     check_full(fragment, *format, issues);
   }
+  return info;
 }
 
 }  // namespace artsparse::check

@@ -14,6 +14,7 @@
 
 #include "check/issues.hpp"
 #include "core/types.hpp"
+#include "storage/fragment.hpp"
 
 namespace artsparse::check {
 
@@ -29,9 +30,10 @@ Depth depth_from_string(const std::string& name);
 std::string to_string(Depth depth);
 
 /// Validates one encoded fragment at `depth`, appending any violations to
-/// `issues`. Never throws on malformed input: parse failures are reported
-/// as issues (rule "fragment.decode" etc.).
-void check_fragment_bytes(std::span<const std::byte> data, Depth depth,
-                          Issues& issues);
+/// `issues`, and returns the header it parsed (default when the checksum
+/// or the header parse failed). Never throws on malformed input: parse
+/// failures are reported as issues (rule "fragment.decode" etc.).
+FragmentInfo check_fragment_bytes(std::span<const std::byte> data,
+                                  Depth depth, Issues& issues);
 
 }  // namespace artsparse::check

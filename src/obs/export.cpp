@@ -161,8 +161,11 @@ std::string to_json(const MetricsSnapshot& snapshot) {
       for (const auto& [key, value] : sample.labels) {
         if (!first_label) out += ", ";
         first_label = false;
-        out += "\"" + json_escape(key) + "\": \"" + json_escape(value) +
-               "\"";
+        out += '"';
+        out += json_escape(key);
+        out += "\": \"";
+        out += json_escape(value);
+        out += '"';
       }
       out += "}";
     }

@@ -1,7 +1,7 @@
 // artsparse::obs — the unified observability layer. One process-wide
 // MetricsRegistry of named counters, gauges, and fixed-bucket histograms
 // replaces the ad-hoc stats structs each subsystem used to plumb by hand
-// (CacheStats, WriteBreakdown's retry counters, ScanReport, ...): the
+// (CacheStats, WriteBreakdown's retry counters, store sweeps, ...): the
 // instrumented layers publish here, the exporters (obs/export.hpp) turn a
 // snapshot into Prometheus text or JSON, and `artsparse_cli metrics`
 // serves both.

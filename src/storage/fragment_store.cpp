@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "advisor/advisor.hpp"
-#include "check/validate.hpp"
 #include "core/deadline.hpp"
 #include "core/error.hpp"
 #include "core/linearize.hpp"
@@ -595,27 +594,10 @@ WriteResult FragmentStore::consolidate(std::optional<OrgKind> org) {
 void FragmentStore::rescan() {
   const MutexLock lock(writer_mutex_);
   cache_->invalidate_all();
-  last_scan_ = ScanReport{};
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
-    if (!entry.is_regular_file()) continue;
-    const std::filesystem::path& path = entry.path();
-    if (path.extension() == ".asf") {
-      paths.push_back(path);
-    } else if (path.extension() == kTmpSuffix) {
-      // Orphaned stage file from a crashed commit: never renamed, so never
-      // part of the committed fragment set. Sweep it.
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      ARTSPARSE_COUNT("artsparse_store_swept_tmp_total", 1);
-      last_scan_.swept_tmp.push_back(path.string());
-    } else {
-      // Stray non-fragment file (quarantined fragments land here too).
-      // Ignored, but logged so operators and fsck can see it.
-      last_scan_.ignored.push_back(path.string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
+  // The check subsystem's header-depth gate (header parse + payload
+  // checksum) quarantines a torn or bit-rotted file instead of loading it,
+  // so one bad fragment can no longer make the whole store unopenable.
+  last_scan_ = check::repair_store(directory_, check::Depth::kHeader);
 
   // Reuse the live manifest's file handles for paths it already tracks, so
   // a pinned snapshot's deferred-deletion guarantee survives a rescan (two
@@ -628,57 +610,37 @@ void FragmentStore::rescan() {
   const std::uint64_t born = current->generation() + 1;
 
   std::vector<ManifestEntry> entries;
-  for (const auto& path : paths) {
-    // Gate every fragment through the check subsystem at header depth
-    // (header parse + payload checksum); a torn or bit-rotted file is
-    // quarantined instead of loaded, so one bad fragment can no longer
-    // make the whole store unopenable.
-    Bytes raw;
-    check::Issues issues;
-    try {
-      raw = read_file(path.string());
-    } catch (const Error& e) {
-      issues.add("fragment.io", e.what());
-    }
-    if (issues.ok()) {
-      check::check_fragment_bytes(raw, check::Depth::kHeader, issues);
-    }
-    if (!issues.ok()) {
-      const std::filesystem::path aside = path.string() + kQuarantineSuffix;
-      std::error_code ec;
-      std::filesystem::rename(path, aside, ec);
-      ARTSPARSE_COUNT("artsparse_store_quarantined_total", 1);
-      last_scan_.quarantined.push_back(path.string());
-      continue;
-    }
-    const FragmentInfo info = decode_fragment_info(raw);
+  for (const check::FragmentReport& fragment : last_scan_.fragments) {
+    if (!fragment.ok()) continue;  // quarantined
+    const FragmentInfo& info = fragment.info;
     // Once per fragment per rescan. artsparse-lint: allow(ASL007)
     detail::require(info.shape == shape_,
                     "fragment shape does not match store shape: " +
-                        path.string());
+                        fragment.path);
     ManifestEntry entry;
-    const auto it = known.find(path.string());
+    const auto it = known.find(fragment.path);
     entry.file = it != known.end()
                      ? it->second->file
-                     : std::make_shared<FragmentFile>(path);
-    entry.cache_key = path.string() + "@g" + std::to_string(born);
+                     : std::make_shared<FragmentFile>(fragment.path);
+    entry.cache_key = fragment.path + "@g" + std::to_string(born);
     entry.bbox = info.bbox;
     entry.org = info.org;
-    entry.file_bytes = raw.size();
+    entry.file_bytes = fragment.file_bytes;
     entry.value_min = info.value_min;
     entry.value_max = info.value_max;
     entries.push_back(std::move(entry));
     // Keep new fragment names past any existing id, even with gaps.
+    const std::string name =
+        std::filesystem::path(fragment.path).filename().string();
     std::size_t id = 0;
-    if (std::sscanf(path.filename().string().c_str(), "frag_%zu.asf", &id) ==
-        1) {
+    if (std::sscanf(name.c_str(), "frag_%zu.asf", &id) == 1) {
       next_id_ = std::max(next_id_, id + 1);
     }
   }
   publish_locked(std::move(entries));
 }
 
-ScanReport FragmentStore::last_scan() const {
+check::StoreReport FragmentStore::last_scan() const {
   const MutexLock lock(writer_mutex_);
   return last_scan_;
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "check/fsck.hpp"
 #include "core/box.hpp"
 #include "core/coords.hpp"
 #include "core/shape.hpp"
@@ -67,17 +68,6 @@ struct ReadResult {
   /// kStrict — those reads throw instead).
   std::vector<SkippedFragment> skipped;
   ReadBreakdown times;
-};
-
-/// What open()/rescan() found and fixed while sweeping the directory.
-struct ScanReport {
-  std::vector<std::string> swept_tmp;   ///< orphaned .tmp files removed
-  std::vector<std::string> quarantined; ///< corrupt .asf renamed aside
-  std::vector<std::string> ignored;     ///< stray non-fragment files
-
-  bool clean() const {
-    return swept_tmp.empty() && quarantined.empty() && ignored.empty();
-  }
 };
 
 /// Store health state machine (DESIGN.md §14). Values are severity-ordered
@@ -298,17 +288,18 @@ class FragmentStore {
   WriteResult consolidate(std::optional<OrgKind> org = std::nullopt);
 
   /// Re-scans the directory, picking up fragments written by other store
-  /// instances. Recovery sweep: orphaned *.tmp files (crashed commits) are
-  /// removed, and fragments failing the check subsystem's header-depth
-  /// validation (torn writes, bit rot) are renamed to *.asf.quarantine and
-  /// not loaded. Stray non-fragment files are ignored. Everything swept is
-  /// reported in last_scan(). Publishes a new generation; in-flight reads
-  /// finish against the one they pinned.
+  /// instances. Recovery sweep, check::repair_store at header depth:
+  /// orphaned *.tmp files (crashed commits) are removed, and fragments
+  /// failing validation (torn writes, bit rot) are renamed to
+  /// *.asf.quarantine and not loaded. Stray non-fragment files are left
+  /// alone. Everything swept is reported in last_scan(). Publishes a new
+  /// generation; in-flight reads finish against the one they pinned.
   void rescan();
 
-  /// What the most recent open()/rescan() swept, quarantined, or ignored.
-  /// Returns a copy: safe to call while another thread rescans.
-  ScanReport last_scan() const;
+  /// What the most recent open()/rescan() validated, swept, quarantined,
+  /// or left as a stray. Returns a copy: safe to call while another
+  /// thread rescans.
+  check::StoreReport last_scan() const;
 
   /// Retry schedule for transient I/O errors on the commit path.
   void set_retry_policy(const RetryPolicy& policy);
@@ -411,7 +402,7 @@ class FragmentStore {
   /// before manifest_mutex_ (publish_locked); never the reverse.
   mutable Mutex writer_mutex_;
   RetryPolicy retry_ ARTSPARSE_GUARDED_BY(writer_mutex_);
-  ScanReport last_scan_ ARTSPARSE_GUARDED_BY(writer_mutex_);
+  check::StoreReport last_scan_ ARTSPARSE_GUARDED_BY(writer_mutex_);
   /// Never reset, so no path can ever name two different fragments.
   std::size_t next_id_ ARTSPARSE_GUARDED_BY(writer_mutex_) = 0;
 

@@ -105,7 +105,7 @@ class TiledStore {
   }
 
   /// Recovery sweep results of the inner store's last open()/rescan().
-  ScanReport last_scan() const { return store_.last_scan(); }
+  check::StoreReport last_scan() const { return store_.last_scan(); }
 
   /// The open-fragment cache tiled reads resolve through.
   FragmentCache& cache() const { return store_.cache(); }

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/contracts.hpp"
 #include "check/fsck.hpp"
@@ -189,6 +191,89 @@ TEST_F(FsckTest, NonFragmentDirectoryEntriesAreSkipped) {
       check::check_store(dir_, check::Depth::kStructure);
   EXPECT_EQ(report.checked(), 2u);
   EXPECT_TRUE(report.ok());
+}
+
+/// File names of `paths`, in order.
+std::vector<std::string> file_names(const std::vector<std::string>& paths) {
+  std::vector<std::string> names;
+  for (const std::string& path : paths) {
+    names.push_back(fs::path(path).filename().string());
+  }
+  return names;
+}
+
+TEST(StoreSweep, OpenAndRepairSetAsideExactlyWhatCheckFails) {
+  const fs::path original = testing::fresh_temp_dir("sweep");
+  {
+    FragmentStore store(original, testing::fig1_shape());
+    store.write(testing::fig1_coords(), testing::fig1_values(),
+                OrgKind::kGcsr);
+  }
+  const std::pair<const char*, Bytes> files[] = {
+      {"frag_000010.asf", testing::corrupt_truncated()},
+      {"frag_000011.asf", testing::corrupt_checksum()},
+      {"frag_000012.asf",
+       testing::corrupt_nonmonotone_offsets(OrgKind::kGcsr)},
+      {"frag_000013.asf",
+       testing::corrupt_nonmonotone_offsets(OrgKind::kGcsc)},
+      {"frag_000014.asf", testing::corrupt_minor_index(OrgKind::kGcsr)},
+      {"frag_000015.asf", testing::corrupt_out_of_shape_coord()},
+      {"frag_000016.asf", testing::corrupt_bad_map()},
+      {"frag_000017.asf.tmp", testing::corrupt_truncated()},
+      {"notes.txt", Bytes(8, std::byte{0x2a})},
+  };
+  for (const auto& [name, bytes] : files) {
+    write_file((original / name).string(), bytes);
+  }
+  const fs::path opened = testing::fresh_temp_dir("sweep_open");
+  const fs::path repaired = testing::fresh_temp_dir("sweep_repair");
+  fs::copy(original, opened);
+  fs::copy(original, repaired);
+
+  const FragmentStore store(opened, testing::fig1_shape());
+  const check::StoreReport open_report = store.last_scan();
+  const check::StoreReport repair_report =
+      check::repair_store(repaired, check::Depth::kHeader);
+  EXPECT_EQ(file_names(open_report.swept_tmp),
+            file_names(repair_report.swept_tmp));
+  EXPECT_EQ(file_names(open_report.quarantined),
+            file_names(repair_report.quarantined));
+  EXPECT_EQ(file_names(open_report.strays), file_names(repair_report.strays));
+  EXPECT_EQ(file_names(open_report.swept_tmp),
+            std::vector<std::string>{"frag_000017.asf.tmp"});
+  EXPECT_EQ(file_names(open_report.strays),
+            std::vector<std::string>{"notes.txt"});
+
+  // The read-only check changes nothing, lists the orphan as a stray and
+  // fails exactly the fragments open and repair set aside: the three the
+  // header depth catches.
+  const check::StoreReport check_report =
+      check::check_store(original, check::Depth::kHeader);
+  std::vector<std::string> failed;
+  for (const check::FragmentReport& fragment : check_report.fragments) {
+    if (!fragment.ok()) failed.push_back(fragment.path);
+  }
+  EXPECT_EQ(file_names(failed), file_names(repair_report.quarantined));
+  EXPECT_EQ(file_names(failed),
+            (std::vector<std::string>{"frag_000010.asf", "frag_000011.asf",
+                                      "frag_000016.asf"}));
+  EXPECT_EQ(file_names(check_report.strays),
+            (std::vector<std::string>{"frag_000017.asf.tmp", "notes.txt"}));
+  EXPECT_TRUE(fs::exists(original / "frag_000010.asf"));
+  EXPECT_TRUE(fs::exists(original / "frag_000017.asf.tmp"));
+
+  // The store holds the fragments that passed, with the headers the sweep
+  // parsed.
+  EXPECT_EQ(store.fragment_count(),
+            check_report.checked() - check_report.failed());
+  ASSERT_EQ(open_report.checked(), 8u);
+  const check::FragmentReport& healthy = open_report.fragments[0];
+  EXPECT_EQ(healthy.info.org, OrgKind::kGcsr);
+  EXPECT_EQ(healthy.info.point_count, testing::fig1_coords().size());
+  EXPECT_EQ(healthy.file_bytes, fs::file_size(opened / "frag_000000.asf"));
+  fs::remove_all(original);
+  fs::remove_all(opened);
+  fs::remove_all(repaired);
 }
 
 TEST_F(FsckTest, MissingDirectoryThrowsIoError) {

@@ -5,9 +5,12 @@
 // at compile time via ARTSPARSE_CLI_PATH.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "corruption_support.hpp"
 #include "storage/file_io.hpp"
@@ -18,10 +21,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
-int run_cli(const std::string& arguments) {
+/// Runs the CLI and returns its exit code (stderr discarded); stdout is
+/// appended to `output` when given.
+int run_cli(const std::string& arguments, std::string* output = nullptr) {
   const std::string command =
-      std::string(ARTSPARSE_CLI_PATH) + " " + arguments + " > /dev/null 2>&1";
-  const int status = std::system(command.c_str());
+      std::string(ARTSPARSE_CLI_PATH) + " " + arguments + " 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buffer[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    if (output != nullptr) output->append(buffer, got);
+  }
+  const int status = ::pclose(pipe);
   if (status == -1) return -1;
 #ifdef WIFEXITED
   if (WIFEXITED(status)) return WEXITSTATUS(status);
@@ -105,6 +117,43 @@ TEST(CliCheck, RepairSweepsOrphansAndQuarantinesThenCheckIsClean) {
   EXPECT_FALSE(fs::exists(dir / "frag_000032.asf"));
   EXPECT_TRUE(fs::exists(dir / "frag_000032.asf.quarantine"));
   EXPECT_EQ(run_cli("check --store " + dir.string() + " --depth full"), 0);
+  fs::remove_all(dir);
+}
+
+TEST(CliCheck, InfoListsFragmentsInNameOrderWithoutQuarantined) {
+  const fs::path dir = testing::fresh_temp_dir("cli_info");
+  {
+    FragmentStore store(dir, testing::fig1_shape());
+    for (int i = 0; i < 12; ++i) {
+      store.write(testing::fig1_coords(), testing::fig1_values(),
+                  i % 2 == 0 ? OrgKind::kGcsr : OrgKind::kCoo);
+    }
+  }
+  write_file((dir / "frag_000005.asf").string(), testing::corrupt_truncated());
+
+  std::string output;
+  ASSERT_EQ(run_cli("info --store " + dir.string(), &output), 0);
+  std::vector<std::string> listed;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("  frag_", 0) == 0) {
+      listed.push_back(line.substr(2, line.find(':') - 2));
+    }
+  }
+  std::vector<std::string> expected;
+  for (int i = 0; i < 12; ++i) {
+    if (i == 5) continue;
+    char name[32];
+    std::snprintf(name, sizeof(name), "frag_%06d.asf", i);
+    expected.emplace_back(name);
+  }
+  EXPECT_EQ(listed, expected) << output;
+  EXPECT_NE(output.find("fragments: 11\n"), std::string::npos) << output;
+  EXPECT_NE(output.find("  frag_000000.asf: GCSR++, 5 points"),
+            std::string::npos)
+      << output;
+  EXPECT_TRUE(fs::exists(dir / "frag_000005.asf.quarantine"));
   fs::remove_all(dir);
 }
 

@@ -53,7 +53,7 @@ TEST(ObsCliMetrics, SelftestCoversEveryHotPathArea) {
         "artsparse_read_fragments_resolved_total",
         "artsparse_tiled_writes_total"}) {
     // Anchor at line start so the `# TYPE name counter` header can't match.
-    const std::string line_start = "\n" + std::string(name) + " ";
+    const std::string line_start = std::string("\n") + name + " ";
     const std::size_t pos = text.find(line_start);
     ASSERT_NE(pos, std::string::npos) << name;
     const std::size_t value_at = pos + line_start.size();

@@ -314,7 +314,7 @@ TEST_F(FaultInjection, RescanIgnoresAndLogsStrayFiles) {
   // Even a no-op repair rescan publishes a fresh manifest generation.
   EXPECT_EQ(store.generation(), generation_before + 1);
   EXPECT_EQ(store.fragment_count(), 1u);
-  EXPECT_EQ(store.last_scan().ignored.size(), 2u);
+  EXPECT_EQ(store.last_scan().strays.size(), 2u);
   EXPECT_TRUE(fs::exists(dir_ / "notes.txt"));  // ignored, not deleted
 
   const check::StoreReport fsck =
@@ -336,9 +336,9 @@ TEST_F(FaultInjection, RepairStoreSweepsQuarantinesAndReports) {
   write_file((dir_ / "frag_000032.asf").string(), payload(64));  // torn
   write_file((dir_ / "notes.txt").string(), payload(8));
 
-  const check::RepairReport report =
+  const check::StoreReport report =
       check::repair_store(dir_, check::Depth::kHeader);
-  EXPECT_EQ(report.checked, 2u);
+  EXPECT_EQ(report.checked(), 2u);
   EXPECT_EQ(report.swept_tmp.size(), 1u);
   ASSERT_EQ(report.quarantined.size(), 1u);
   EXPECT_EQ(report.quarantined[0], (dir_ / "frag_000032.asf").string());

@@ -224,15 +224,13 @@ int cmd_info(const Args& args) {
               "  total bytes: %zu\n",
               dir.c_str(), shape.to_string().c_str(),
               store.fragment_count(), store.total_file_bytes());
-  // Per-fragment detail from the headers.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".asf") {
-      continue;
-    }
-    const FragmentInfo info =
-        decode_fragment_info(read_file(entry.path().string()));
+  // Per-fragment detail from the headers the open's sweep parsed, in name
+  // order; quarantined fragments are not part of the store.
+  for (const check::FragmentReport& fragment : store.last_scan().fragments) {
+    if (!fragment.ok()) continue;
+    const FragmentInfo& info = fragment.info;
     std::printf("  %s: %s, %llu points, bbox %s, codec %s\n",
-                entry.path().filename().string().c_str(),
+                std::filesystem::path(fragment.path).filename().c_str(),
                 to_string(info.org).c_str(),
                 static_cast<unsigned long long>(info.point_count),
                 info.bbox.empty() ? "(empty)" : info.bbox.to_string().c_str(),
@@ -323,7 +321,7 @@ int cmd_repair(const Args& args) {
   detail::require(!dir.empty(), "--store is required");
   const check::Depth depth =
       check::depth_from_string(args.get("depth", "header"));
-  const check::RepairReport report = check::repair_store(dir, depth);
+  const check::StoreReport report = check::repair_store(dir, depth);
   for (const std::string& path : report.swept_tmp) {
     std::printf("swept %s\n", path.c_str());
   }
@@ -336,7 +334,7 @@ int cmd_repair(const Args& args) {
   std::printf("repaired %s at depth %s: %zu fragments checked, %zu "
               "orphaned tmp swept, %zu quarantined, %zu strays\n",
               report.directory.c_str(), check::to_string(depth).c_str(),
-              report.checked, report.swept_tmp.size(),
+              report.checked(), report.swept_tmp.size(),
               report.quarantined.size(), report.strays.size());
   return 0;
 }
