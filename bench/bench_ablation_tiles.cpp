@@ -57,17 +57,15 @@ int main(int argc, char** argv) {
                       Shape::uniform(2, std::max<index_t>(1, m / 8)));
   const struct {
     const char* name;
-    TilePolicy policy;
+    std::optional<OrgKind> org;  ///< unset: the advisor picks per tile
   } tiled_cases[] = {
-      {"tiled GCSR++ (8x8 tiles)", TilePolicy::fixed(OrgKind::kGcsr)},
-      {"tiled advisor-per-tile", TilePolicy::advisor()},
+      {"tiled GCSR++ (8x8 tiles)", OrgKind::kGcsr},
+      {"tiled advisor-per-tile", std::nullopt},
   };
   for (const auto& c : tiled_cases) {
-    TiledStore store(base / c.name, grid, c.policy,
-                     DeviceModel::lustre_like());
+    FragmentStore store(base / c.name, w.shape, DeviceModel::lustre_like());
     WallTimer timer;
-    const TiledWriteResult written =
-        store.write(dataset.coords, dataset.values);
+    write_tiled(store, grid, dataset.coords, dataset.values, c.org);
     const double write_s = timer.seconds();
     const ReadResult scan = store.scan_region(small_region);
     table.add_row({c.name, std::to_string(store.fragment_count()),

@@ -114,4 +114,14 @@ Recommendation recommend_organization(const SparsityProfile& profile,
   return rec;
 }
 
+OrgKind choose_organization(std::optional<OrgKind> org,
+                            const CoordBuffer& coords, const Shape& shape) {
+  if (org.has_value()) return *org;
+  if (coords.empty()) return OrgKind::kLinear;  // any compact default
+  return recommend_organization(profile_sparsity(coords, shape),
+                                WorkloadWeights::balanced())
+      .best()
+      .org;
+}
+
 }  // namespace artsparse

@@ -8,6 +8,7 @@
 // Table IV's score, but predicted instead of measured.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,5 +53,12 @@ struct Recommendation {
 Recommendation recommend_organization(const SparsityProfile& profile,
                                       const WorkloadWeights& weights,
                                       double queries_per_write = 1.0);
+
+/// The organization a store writes `coords` in: `org` when given, else the
+/// balanced recommendation for these coordinates' own profile, or LINEAR
+/// when there are none to profile. Consolidation and the tiled write both
+/// decide through this.
+OrgKind choose_organization(std::optional<OrgKind> org,
+                            const CoordBuffer& coords, const Shape& shape);
 
 }  // namespace artsparse

@@ -13,19 +13,6 @@ namespace {
 /// -1 = no runtime override, 0 = forced off, 1 = forced on.
 std::atomic<int> paranoid_override{-1};
 
-bool env_or_compiled_default() {
-  // Shared flag contract (core/env): "0"/"off"/"false"/empty disable,
-  // any other set value enables.
-  if (const auto enabled = env_flag("ARTSPARSE_PARANOID")) {
-    return *enabled;
-  }
-#ifdef ARTSPARSE_PARANOID_DEFAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 void contract_failure(const char* expression, const char* message,
@@ -38,7 +25,10 @@ bool paranoid_enabled() {
   const int forced = paranoid_override.load(std::memory_order_relaxed);
   if (forced >= 0) return forced != 0;
   // The environment is read once; later changes go through set_paranoid().
-  static const bool from_env = env_or_compiled_default();
+  // Shared flag contract (core/env): "0"/"off"/"false"/empty disable, any
+  // other set value enables; unset means off.
+  static const bool from_env =
+      env_flag("ARTSPARSE_PARANOID").value_or(false);
   return from_env;
 }
 

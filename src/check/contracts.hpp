@@ -14,9 +14,9 @@
 //   paranoid mode                 deep O(n) invariant validation (the
 //                                 per-format check_invariants() pass) run at
 //                                 every deserialization. Off by default;
-//                                 enabled by the ARTSPARSE_PARANOID CMake
-//                                 option, the ARTSPARSE_PARANOID environment
-//                                 variable, or set_paranoid() at runtime.
+//                                 enabled by the ARTSPARSE_PARANOID
+//                                 environment variable or set_paranoid()
+//                                 at runtime.
 #pragma once
 
 #include <optional>
@@ -29,12 +29,12 @@ namespace artsparse::check {
 
 /// True when deep (O(n)) invariant checks should run on every load.
 /// Precedence: set_paranoid() override, then the ARTSPARSE_PARANOID
-/// environment variable ("0"/"off"/"false" disable, anything else enables),
-/// then the compile-time default (ON iff built with -DARTSPARSE_PARANOID=ON).
+/// environment variable ("0"/"off"/"false" disable, anything else enables);
+/// off when neither is set.
 bool paranoid_enabled();
 
 /// Runtime override (CLI flags, tests). std::nullopt restores the
-/// environment/compile-time default.
+/// environment's setting.
 void set_paranoid(std::optional<bool> enabled);
 
 /// RAII paranoid override for tests.

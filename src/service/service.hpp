@@ -1,6 +1,7 @@
 // Service: the embeddable multi-tenant server core. Wraps one
-// FragmentStore (or a TiledStore's inner store) and layers on what a
-// store embedded in a shared service needs:
+// FragmentStore (tiled writes included: they are fragments of a
+// FragmentStore too) and layers on what a store embedded in a shared
+// service needs:
 //
 //   - Sessions: every request carries a tenant id, which flows into
 //     per-tenant obs metrics (artsparse_tenant_*) and trace-span

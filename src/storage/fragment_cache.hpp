@@ -1,11 +1,11 @@
 // OpenFragment + FragmentCache: the shared resolution layer of the read
-// path. Every read-side entry point of FragmentStore (and, through it,
-// TiledStore) turns a fragment *file* into an OpenFragment — the decoded
-// SparseFormat index plus the slot-ordered value buffer — exactly once, and
-// serves repeated reads over a hot store from memory. This is the open-array
-// cache production fragment stores (TileDB and friends) ship: Algorithm 3
-// pays one open + full decode per overlapping fragment per query; amortizing
-// that across queries is where repeated-read throughput comes from.
+// path. Every read-side entry point of FragmentStore turns a fragment
+// *file* into an OpenFragment — the decoded SparseFormat index plus the
+// slot-ordered value buffer — exactly once, and serves repeated reads over
+// a hot store from memory. This is the open-array cache production fragment
+// stores (TileDB and friends) ship: Algorithm 3 pays one open + full decode
+// per overlapping fragment per query; amortizing that across queries is
+// where repeated-read throughput comes from.
 //
 // Thread safety: FragmentCache is fully thread-safe (one mutex around the
 // LRU book-keeping; fragment loads happen outside the lock so concurrent
@@ -84,8 +84,7 @@ struct CacheStats {
 /// opaque string — plain file paths for direct callers, or the manifest
 /// layer's generation-tagged "<path>@g<N>" keys, which make it impossible
 /// for a recycled or rewritten path to ever serve stale bytes. One
-/// instance per FragmentStore (TiledStore shares its inner store's
-/// instance), so invalidation never crosses stores.
+/// instance per FragmentStore, so invalidation never crosses stores.
 class FragmentCache {
  public:
   /// 256 MiB; roomy for the bench grids, small next to a real server.

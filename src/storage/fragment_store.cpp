@@ -97,6 +97,14 @@ bool degradation_eligible(int error_number) {
          io_errno_class(error_number) == IoErrnoClass::kCapacity;
 }
 
+/// One past N for a file named frag_N.asf (or a frag_N.asf.* leftover such
+/// as its .quarantine), else 0.
+std::size_t id_after(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  std::size_t id = 0;
+  return std::sscanf(name.c_str(), "frag_%zu.asf", &id) == 1 ? id + 1 : 0;
+}
+
 }  // namespace
 
 const char* to_string(StoreHealth health) {
@@ -576,19 +584,9 @@ WriteResult FragmentStore::consolidate(std::optional<OrgKind> org) {
     values.push_back(all.values[i]);
   }
 
-  OrgKind chosen;
-  if (org.has_value()) {
-    chosen = *org;
-  } else if (coords.empty()) {
-    chosen = OrgKind::kLinear;  // nothing to profile; any compact default
-  } else {
-    chosen = recommend_organization(profile_sparsity(coords, shape_),
-                                    WorkloadWeights::balanced())
-                 .best()
-                 .org;
-  }
-
-  return write_locked(coords, values, chosen, /*replace=*/true);
+  return write_locked(coords, values,
+                      choose_organization(org, coords, shape_),
+                      /*replace=*/true);
 }
 
 void FragmentStore::rescan() {
@@ -609,8 +607,16 @@ void FragmentStore::rescan() {
   }
   const std::uint64_t born = current->generation() + 1;
 
+  // New fragment names go past every frag_N the sweep saw, gaps, failed
+  // fragments and .quarantine strays included: reusing a quarantined name
+  // would let a second quarantine replace the first one's bytes.
+  for (const std::string& stray : last_scan_.strays) {
+    next_id_ = std::max(next_id_, id_after(stray));
+  }
+
   std::vector<ManifestEntry> entries;
   for (const check::FragmentReport& fragment : last_scan_.fragments) {
+    next_id_ = std::max(next_id_, id_after(fragment.path));
     if (!fragment.ok()) continue;  // quarantined
     const FragmentInfo& info = fragment.info;
     // Once per fragment per rescan. artsparse-lint: allow(ASL007)
@@ -629,13 +635,6 @@ void FragmentStore::rescan() {
     entry.value_min = info.value_min;
     entry.value_max = info.value_max;
     entries.push_back(std::move(entry));
-    // Keep new fragment names past any existing id, even with gaps.
-    const std::string name =
-        std::filesystem::path(fragment.path).filename().string();
-    std::size_t id = 0;
-    if (std::sscanf(name.c_str(), "frag_%zu.asf", &id) == 1) {
-      next_id_ = std::max(next_id_, id + 1);
-    }
   }
   publish_locked(std::move(entries));
 }

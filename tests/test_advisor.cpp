@@ -146,6 +146,23 @@ TEST(Advisor, ZeroWeightsRejected) {
       FormatError);
 }
 
+TEST(Advisor, ChooseOrganizationTakesTheGivenOrgElseTheBalancedPick) {
+  const Shape shape{64, 64};
+  const SparseDataset dataset = make_dataset(shape, GspConfig{0.05}, 7);
+  EXPECT_EQ(choose_organization(OrgKind::kCsf, dataset.coords, shape),
+            OrgKind::kCsf);
+  EXPECT_EQ(choose_organization(std::nullopt, dataset.coords, shape),
+            recommend_organization(profile_sparsity(dataset.coords, shape),
+                                   WorkloadWeights::balanced())
+                .best()
+                .org);
+  // Nothing to profile: a compact default instead of the advisor's throw.
+  EXPECT_EQ(choose_organization(std::nullopt, CoordBuffer(2), shape),
+            OrgKind::kLinear);
+  EXPECT_EQ(choose_organization(OrgKind::kCoo, CoordBuffer(2), shape),
+            OrgKind::kCoo);
+}
+
 TEST(Advisor, ScoresAreNormalized) {
   const Recommendation rec = recommend_organization(
       sample_profile(), WorkloadWeights::balanced());

@@ -13,6 +13,7 @@
 #include "check/fsck.hpp"
 #include "check/issues.hpp"
 #include "check/validate.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
 #include "corruption_support.hpp"
 #include "formats/registry.hpp"
@@ -38,6 +39,10 @@ TEST(Contracts, AssertPassesAndThrowsFormatError) {
 }
 
 TEST(Contracts, ParanoidGuardOverridesAndRestores) {
+  // With no override, the ARTSPARSE_PARANOID environment variable decides
+  // (CI's paranoid-mode job sets it); unset means off.
+  const bool from_env = env_flag("ARTSPARSE_PARANOID").value_or(false);
+  EXPECT_EQ(check::paranoid_enabled(), from_env);
   {
     check::ParanoidGuard on(true);
     EXPECT_TRUE(check::paranoid_enabled());
@@ -46,9 +51,8 @@ TEST(Contracts, ParanoidGuardOverridesAndRestores) {
     check::set_paranoid(true);
     EXPECT_TRUE(check::paranoid_enabled());
   }
-  // After the guard, the env/compile-time default is back; in the test
-  // environment that default is off.
-  EXPECT_FALSE(check::paranoid_enabled());
+  // After the guard, the environment's setting is back.
+  EXPECT_EQ(check::paranoid_enabled(), from_env);
 }
 
 TEST(Contracts, ParanoidLoadRejectsOutOfShapeCoords) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "check/contracts.hpp"
 #include "check/issues.hpp"
 #include "check/validate.hpp"
 #include "core/error.hpp"
@@ -113,7 +114,9 @@ TEST(CorruptionCorpus, MinorIndexPastBoundIsCaughtByDeepValidation) {
 
 TEST(CorruptionCorpus, OutOfShapeCoordIsCaughtByDeepValidation) {
   const Bytes bytes = testing::corrupt_out_of_shape_coord();
-  // Cheap load() checks alone do not scan coordinates, so the index loads...
+  // Cheap load() checks alone do not scan coordinates, so the index loads
+  // (with paranoid mode off, whatever ARTSPARSE_PARANOID says)...
+  const check::ParanoidGuard cheap_load(false);
   const Fragment fragment = decode_fragment(bytes);
   auto format = load_format(fragment.org, fragment.index);
   // ...but the deep invariant pass pins the exact rule.
@@ -145,6 +148,9 @@ TEST(CorruptionCorpus, UnsortedSortedCooIsFlagged) {
   testing::poke_u64(fragment.index, reader.offset(), 2);
   const Bytes bytes = encode_fragment(fragment);
 
+  // The cheap load accepts it; a paranoid one would throw before the
+  // validator could be asked.
+  const check::ParanoidGuard cheap_load(false);
   auto format = load_format(OrgKind::kSortedCoo,
                             decode_fragment(bytes).index);
   check::Issues issues;

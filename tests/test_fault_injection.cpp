@@ -300,6 +300,50 @@ TEST_F(FaultInjection, OpenQuarantinesTornFragmentsInsteadOfThrowing) {
   EXPECT_EQ(fsck.strays.size(), 1u);
 }
 
+TEST_F(FaultInjection, ReopenNeverReusesAQuarantinedName) {
+  // Repair never deletes payload bytes: a reopened store must not hand a
+  // quarantined fragment's name to a new write, or a second quarantine of
+  // that name would replace the first .quarantine file.
+  const Shape shape{16, 16};
+  CoordBuffer coords(2);
+  coords.append({3, 4});
+  // Keeps the first 1/`parts` of the file; the two tears differ in length.
+  const auto tear = [](const fs::path& path, std::size_t parts) {
+    const Bytes whole = read_file(path.string());
+    const Bytes torn(whole.begin(),
+                     whole.begin() +
+                         static_cast<std::ptrdiff_t>(whole.size() / parts));
+    write_file(path.string(), torn);
+    return torn;
+  };
+  fs::path first_victim;
+  {
+    FragmentStore store(dir_, shape);
+    store.write(coords, std::vector<value_t>{1.0}, OrgKind::kLinear);
+    first_victim =
+        store.write(coords, std::vector<value_t>{2.0}, OrgKind::kLinear).path;
+  }
+  const Bytes first_torn = tear(first_victim, 2);
+  const fs::path first_quarantine = first_victim.string() + ".quarantine";
+
+  fs::path second_victim;
+  {
+    FragmentStore store(dir_, shape);
+    ASSERT_EQ(store.last_scan().quarantined.size(), 1u);
+    ASSERT_TRUE(fs::exists(first_quarantine));
+    second_victim =
+        store.write(coords, std::vector<value_t>{3.0}, OrgKind::kLinear).path;
+  }
+  EXPECT_NE(second_victim.filename(), first_victim.filename());
+  tear(second_victim, 3);
+
+  FragmentStore store(dir_, shape);
+  EXPECT_EQ(store.last_scan().quarantined.size(), 1u);
+  EXPECT_EQ(files_with_extension(".quarantine").size(), 2u);
+  EXPECT_TRUE(read_file(first_quarantine.string()) == first_torn);
+  EXPECT_EQ(store.fragment_count(), 1u);
+}
+
 TEST_F(FaultInjection, RescanIgnoresAndLogsStrayFiles) {
   const Shape shape{8, 8};
   FragmentStore store(dir_, shape);

@@ -10,7 +10,6 @@
 #include "storage/fragment.hpp"
 #include "storage/fragment_store.hpp"
 #include "test_support.hpp"
-#include "tiles/tiled_store.hpp"
 
 namespace artsparse {
 namespace {
@@ -90,6 +89,7 @@ TEST_F(FragmentCacheTest, HitAndMissAccounting) {
   EXPECT_EQ(stats.open_count, 3u);
   EXPECT_GT(stats.open_bytes, 0u);
   EXPECT_EQ(stats.budget_bytes, 64u << 20);
+  EXPECT_EQ(&store.cache(), cache.get());
 }
 
 TEST_F(FragmentCacheTest, RepeatedReadRegionDoesZeroFileReadsAfterWarmup) {
@@ -255,31 +255,6 @@ TEST_F(FragmentCacheTest, BudgetFromEnvironment) {
   if (saved) {
     ::setenv("ARTSPARSE_CACHE_BYTES", saved_value.c_str(), 1);
   }
-}
-
-TEST_F(FragmentCacheTest, TiledStoreSharesTheCache) {
-  const Shape shape{64, 64};
-  auto cache = std::make_shared<FragmentCache>();
-  const TileGrid grid(shape, Shape{16, 16});
-  TiledStore store(dir_, grid, TilePolicy::fixed(OrgKind::kGcsr),
-                   DeviceModel::unthrottled(), CodecKind::kIdentity, cache);
-
-  CoordBuffer coords(2);
-  std::vector<value_t> values;
-  for (index_t r = 0; r < 64; r += 8) {
-    coords.append({r, r});
-    values.push_back(static_cast<value_t>(r));
-  }
-  const TiledWriteResult written = store.write(coords, values);
-  EXPECT_GT(written.tiles_written, 1u);
-
-  const Box whole = Box::whole(shape);
-  const ReadResult cold = store.scan_region(whole);
-  EXPECT_EQ(cold.times.cache_misses, written.tiles_written);
-  const ReadResult warm = store.scan_region(whole);
-  EXPECT_EQ(warm.times.cache_misses, 0u);
-  EXPECT_EQ(warm.times.cache_hits, written.tiles_written);
-  EXPECT_EQ(&store.cache(), cache.get());
 }
 
 #if defined(ARTSPARSE_OBS_ENABLED)

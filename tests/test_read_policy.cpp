@@ -12,7 +12,6 @@
 #include "core/error.hpp"
 #include "corruption_support.hpp"
 #include "storage/file_io.hpp"
-#include "tiles/tiled_store.hpp"
 
 namespace artsparse {
 namespace {
@@ -68,6 +67,7 @@ TEST_F(ReadPolicy, SkipAnswersFromHealthyFragmentsAndReportsTheBadOne) {
   FragmentStore store(dir_, shape);
   const std::vector<WriteResult> written = populate(store);
   store.set_read_fault_policy(ReadFaultPolicy::kSkip);
+  EXPECT_EQ(store.read_fault_policy(), ReadFaultPolicy::kSkip);
   tear(written[1].path);
 
   const ReadResult result = store.scan_region(Box::whole(shape));
@@ -137,36 +137,6 @@ TEST_F(ReadPolicy, SkipSurvivesCrcValidStructuralCorruption) {
   ASSERT_EQ(result.skipped.size(), 1u);
   EXPECT_EQ(result.skipped[0].path, second.path);
   EXPECT_EQ(result.values.size(), testing::fig1_values().size());
-}
-
-TEST_F(ReadPolicy, TiledStoreForwardsThePolicy) {
-  const Shape shape{16, 16};
-  const TileGrid grid(shape, Shape{8, 8});
-  TiledStore store(dir_, grid, TilePolicy::fixed(OrgKind::kCoo));
-  CoordBuffer coords(2);
-  coords.append({1, 1});
-  coords.append({9, 9});
-  store.write(coords, std::vector<value_t>{1.0, 2.0});
-
-  // Tear whichever tile fragment holds (1,1): fragments are in tile order,
-  // so it is the first one.
-  std::vector<fs::path> fragments;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (entry.path().extension() == ".asf") {
-      fragments.push_back(entry.path());
-    }
-  }
-  std::sort(fragments.begin(), fragments.end());
-  ASSERT_EQ(fragments.size(), 2u);
-  tear(fragments[0].string());
-
-  EXPECT_THROW(store.scan_region(Box::whole(shape)), Error);
-  store.set_read_fault_policy(ReadFaultPolicy::kSkip);
-  EXPECT_EQ(store.read_fault_policy(), ReadFaultPolicy::kSkip);
-  const ReadResult result = store.scan_region(Box::whole(shape));
-  ASSERT_EQ(result.skipped.size(), 1u);
-  ASSERT_EQ(result.values.size(), 1u);
-  EXPECT_EQ(result.values[0], 2.0);
 }
 
 }  // namespace

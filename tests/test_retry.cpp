@@ -2,7 +2,7 @@
 // deterministic capped backoff delays, transient fault sequences that
 // succeed within policy, exhausted retries surfacing the original error,
 // and the attempt counters flowing into WriteBreakdown through
-// FragmentStore and TiledStore.
+// FragmentStore writes and tiled writes.
 #include "storage/retry.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "storage/fault.hpp"
 #include "storage/file_io.hpp"
 #include "storage/fragment_store.hpp"
-#include "tiles/tiled_store.hpp"
+#include "tiles/tiled_write.hpp"
 #include "test_support.hpp"
 
 namespace artsparse {
@@ -308,7 +308,7 @@ TEST_F(Retry, WriteBreakdownSurfacesAttemptCounters) {
 TEST_F(Retry, TiledWriteSumsAttemptCountersAcrossTiles) {
   const Shape shape{16, 16};
   const TileGrid grid(shape, Shape{8, 8});
-  TiledStore store(dir_, grid, TilePolicy::fixed(OrgKind::kCoo));
+  FragmentStore store(dir_, shape);
   store.set_retry_policy(fast_policy(4));
   EXPECT_EQ(store.retry_policy().max_attempts, 4u);
 
@@ -316,8 +316,8 @@ TEST_F(Retry, TiledWriteSumsAttemptCountersAcrossTiles) {
   coords.append({1, 1});    // tile 0
   coords.append({9, 9});    // tile 3
   FaultInjector::instance().configure("write:1:EINTR");
-  const TiledWriteResult result =
-      store.write(coords, std::vector<value_t>{1.0, 2.0});
+  const TiledWriteResult result = write_tiled(
+      store, grid, coords, std::vector<value_t>{1.0, 2.0}, OrgKind::kCoo);
   EXPECT_EQ(result.tiles_written, 2u);
   EXPECT_EQ(result.times.io_attempts, 3u);  // 2 commits + 1 retry
   EXPECT_EQ(result.times.io_retries, 1u);

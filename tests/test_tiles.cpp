@@ -1,9 +1,10 @@
-#include "tiles/tiled_store.hpp"
+#include "tiles/tiled_write.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "advisor/advisor.hpp"
 #include "core/linearize.hpp"
 #include "core/rng.hpp"
 #include "patterns/dataset.hpp"
@@ -44,9 +45,9 @@ TEST(TileGrid, PointOutsideTensorRejected) {
   EXPECT_THROW(grid.tile_of(outside), FormatError);
 }
 
-// ---------- TiledStore ----------
+// ---------- write_tiled ----------
 
-class TiledStoreTest : public ::testing::Test {
+class TiledWrite : public ::testing::Test {
  protected:
   void SetUp() override { dir_ = testing::fresh_temp_dir("tiles"); }
   void TearDown() override {
@@ -56,24 +57,24 @@ class TiledStoreTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(TiledStoreTest, WriteSplitsBatchIntoTileFragments) {
+TEST_F(TiledWrite, WriteSplitsBatchIntoTileFragments) {
   const Shape shape{64, 64};
-  TiledStore store(dir_, TileGrid(shape, Shape{32, 32}),
-                   TilePolicy::fixed(OrgKind::kLinear));
+  FragmentStore store(dir_, shape);
   const SparseDataset dataset = make_dataset(shape, GspConfig{0.05}, 3);
   const TiledWriteResult written =
-      store.write(dataset.coords, dataset.values);
+      write_tiled(store, TileGrid(shape, Shape{32, 32}), dataset.coords,
+                  dataset.values, OrgKind::kLinear);
   EXPECT_EQ(written.tiles_written, 4u);  // dense-enough random data
   EXPECT_EQ(store.fragment_count(), 4u);
   EXPECT_EQ(written.point_count, dataset.point_count());
 }
 
-TEST_F(TiledStoreTest, ReadsMatchAcrossTileBoundaries) {
+TEST_F(TiledWrite, ReadsMatchAcrossTileBoundaries) {
   const Shape shape{64, 64};
-  TiledStore store(dir_, TileGrid(shape, Shape{16, 16}),
-                   TilePolicy::fixed(OrgKind::kCsf));
+  FragmentStore store(dir_, shape);
   const SparseDataset dataset = make_dataset(shape, GspConfig{0.08}, 9);
-  store.write(dataset.coords, dataset.values);
+  write_tiled(store, TileGrid(shape, Shape{16, 16}), dataset.coords,
+              dataset.values, OrgKind::kCsf);
 
   // Region crossing many tiles.
   const Box region({10, 10}, {50, 50});
@@ -89,24 +90,24 @@ TEST_F(TiledStoreTest, ReadsMatchAcrossTileBoundaries) {
   }
 }
 
-TEST_F(TiledStoreTest, ScanAndQueryAgree) {
+TEST_F(TiledWrite, ScanAndQueryAgree) {
   const Shape shape{48, 48};
-  TiledStore store(dir_, TileGrid(shape, Shape{16, 16}),
-                   TilePolicy::fixed(OrgKind::kGcsr));
+  FragmentStore store(dir_, shape);
   const SparseDataset dataset = make_dataset(shape, MspConfig{0.01, 0.5}, 4);
-  store.write(dataset.coords, dataset.values);
+  write_tiled(store, TileGrid(shape, Shape{16, 16}), dataset.coords,
+              dataset.values, OrgKind::kGcsr);
   const Box region({8, 8}, {40, 40});
   const ReadResult scanned = store.scan_region(region);
   const ReadResult queried = store.read_region(region);
   EXPECT_EQ(scanned.values, queried.values);
 }
 
-TEST_F(TiledStoreTest, DiscoveryPrunesNonOverlappingTiles) {
+TEST_F(TiledWrite, DiscoveryPrunesNonOverlappingTiles) {
   const Shape shape{64, 64};
-  TiledStore store(dir_, TileGrid(shape, Shape{16, 16}),
-                   TilePolicy::fixed(OrgKind::kLinear));
+  FragmentStore store(dir_, shape);
   const SparseDataset dataset = make_dataset(shape, GspConfig{0.1}, 8);
-  store.write(dataset.coords, dataset.values);
+  write_tiled(store, TileGrid(shape, Shape{16, 16}), dataset.coords,
+              dataset.values, OrgKind::kLinear);
   EXPECT_EQ(store.fragment_count(), 16u);
 
   // A region inside one tile must open exactly one fragment.
@@ -114,74 +115,100 @@ TEST_F(TiledStoreTest, DiscoveryPrunesNonOverlappingTiles) {
   EXPECT_EQ(result.fragments_visited, 1u);
 }
 
-TEST_F(TiledStoreTest, AdvisorPolicyPicksPerTile) {
-  // A tensor whose left half is a dense diagonal band and right half is
-  // random scatter: the advisor sees different profiles per tile.
+TEST_F(TiledWrite, AdvisorPolicyPicksPerTile) {
+  // A tensor whose top-left tile is a dense diagonal band, top-right tile
+  // random scatter and bottom-left tile one lone point: the advisor sees
+  // different profiles per tile.
   const Shape shape{64, 64};
-  TiledStore store(dir_, TileGrid(shape, Shape{32, 32}),
-                   TilePolicy::advisor(WorkloadWeights::read_mostly(), 1.0));
-  CoordBuffer coords(2);
-  std::vector<value_t> values;
+  FragmentStore store(dir_, shape);
+  const TileGrid grid(shape, Shape{32, 32});
+  CoordBuffer diagonal(2);
   for (index_t i = 0; i < 32; ++i) {
-    coords.append({i, i});  // tile (0,0): diagonal
+    diagonal.append({i, i});  // tile (0,0)
   }
+  CoordBuffer scatter(2);
   Xoshiro256 rng(3);
   for (int k = 0; k < 200; ++k) {
-    coords.append({rng.next_below(32), 32 + rng.next_below(32)});
+    scatter.append({rng.next_below(32), 32 + rng.next_below(32)});  // (0,1)
   }
+  CoordBuffer lone(2);
+  lone.append({40, 5});  // tile (1,0)
+  CoordBuffer coords = diagonal;
+  for (std::size_t i = 0; i < scatter.size(); ++i) {
+    coords.append(scatter.point(i));
+  }
+  coords.append(lone.point(0));
+  std::vector<value_t> values;
   for (std::size_t i = 0; i < coords.size(); ++i) {
     values.push_back(expected_value(coords.point(i), shape));
   }
-  const TiledWriteResult written = store.write(coords, values);
-  EXPECT_EQ(written.tiles_written, 2u);
-  for (const auto& [tile, org] : written.tile_orgs) {
-    // Read-heavy weights must avoid the scan formats everywhere.
-    EXPECT_NE(org, OrgKind::kCoo);
-    EXPECT_NE(org, OrgKind::kLinear);
-  }
+  const TiledWriteResult written =
+      write_tiled(store, grid, coords, values, std::nullopt);
+  EXPECT_EQ(written.tiles_written, 3u);
+  // Each tile gets what the advisor picks for that tile's points alone,
+  // and the picks differ.
+  const std::map<index_t, OrgKind> expected{
+      {0, choose_organization(std::nullopt, diagonal, shape)},
+      {1, choose_organization(std::nullopt, scatter, shape)},
+      {2, choose_organization(std::nullopt, lone, shape)}};
+  EXPECT_EQ(written.tile_orgs, expected);
+  EXPECT_NE(written.tile_orgs.at(1), written.tile_orgs.at(2));
 
   const ReadResult all = store.scan_region(Box::whole(shape));
   EXPECT_EQ(all.values.size(), coords.size());
 }
 
-TEST_F(TiledStoreTest, MultipleWritesAppendFragments) {
+TEST_F(TiledWrite, MultipleWritesAppendFragments) {
   const Shape shape{32, 32};
-  TiledStore store(dir_, TileGrid(shape, Shape{16, 16}),
-                   TilePolicy::fixed(OrgKind::kCoo));
+  FragmentStore store(dir_, shape);
+  const TileGrid grid(shape, Shape{16, 16});
   CoordBuffer a(2);
   a.append({0, 0});
   CoordBuffer b(2);
   b.append({0, 1});
   const std::vector<value_t> va{expected_value(a.point(0), shape)};
   const std::vector<value_t> vb{expected_value(b.point(0), shape)};
-  store.write(a, va);
-  store.write(b, vb);
+  write_tiled(store, grid, a, va, OrgKind::kCoo);
+  write_tiled(store, grid, b, vb, OrgKind::kCoo);
   EXPECT_EQ(store.fragment_count(), 2u);  // same tile, two fragments
   const ReadResult result = store.scan_region(Box({0, 0}, {1, 1}));
   EXPECT_EQ(result.values.size(), 2u);
 }
 
-TEST_F(TiledStoreTest, MismatchedValueCountRejected) {
+TEST_F(TiledWrite, MismatchedValueCountRejected) {
   const Shape shape{32, 32};
-  TiledStore store(dir_, TileGrid(shape, Shape{16, 16}));
+  FragmentStore store(dir_, shape);
   CoordBuffer coords(2);
   coords.append({1, 1});
   const std::vector<value_t> values{1.0, 2.0};
-  EXPECT_THROW(store.write(coords, values), FormatError);
+  EXPECT_THROW(write_tiled(store, TileGrid(shape, Shape{16, 16}), coords,
+                           values, OrgKind::kGcsr),
+               FormatError);
 }
 
-TEST_F(TiledStoreTest, DuplicatePointAcrossWritesBothReturned) {
+TEST_F(TiledWrite, GridOfAnotherShapeRejected) {
+  FragmentStore store(dir_, Shape{32, 32});
+  CoordBuffer coords(2);
+  coords.append({1, 1});
+  const std::vector<value_t> values{1.0};
+  EXPECT_THROW(write_tiled(store, TileGrid(Shape{64, 64}, Shape{16, 16}),
+                           coords, values, OrgKind::kGcsr),
+               FormatError);
+  EXPECT_EQ(store.fragment_count(), 0u);
+}
+
+TEST_F(TiledWrite, DuplicatePointAcrossWritesBothReturned) {
   // Fragments are immutable; overlapping writes both surface (the caller
   // deduplicates by recency if needed — documented behaviour).
   const Shape shape{32, 32};
-  TiledStore store(dir_, TileGrid(shape, Shape{16, 16}),
-                   TilePolicy::fixed(OrgKind::kLinear));
+  FragmentStore store(dir_, shape);
+  const TileGrid grid(shape, Shape{16, 16});
   CoordBuffer coords(2);
   coords.append({5, 5});
   const std::vector<value_t> v1{1.0};
   const std::vector<value_t> v2{2.0};
-  store.write(coords, v1);
-  store.write(coords, v2);
+  write_tiled(store, grid, coords, v1, OrgKind::kLinear);
+  write_tiled(store, grid, coords, v2, OrgKind::kLinear);
   const ReadResult result = store.scan_region(Box({5, 5}, {5, 5}));
   EXPECT_EQ(result.values.size(), 2u);
 }

@@ -103,30 +103,34 @@ int cmd_generate(const Args& args) {
 
   const SparseDataset dataset =
       make_dataset(shape, spec_for(pattern, shape, density), seed);
-  const CodecKind codec = codec_for(args.get("codec"));
+  // Every option is parsed before the store directory is created.
+  const std::optional<OrgKind> org =
+      args.has("org") ? std::optional(parse_org(args.get("org")))
+                      : std::nullopt;
+  const std::optional<TileGrid> grid =
+      args.has("tile")
+          ? std::optional(TileGrid(shape, parse_shape(args.get("tile"))))
+          : std::nullopt;
+  FragmentStore store(dir, shape, DeviceModel::unthrottled(),
+                      codec_for(args.get("codec")));
 
-  if (args.has("tile")) {
-    const TileGrid grid(shape, parse_shape(args.get("tile")));
-    const TilePolicy policy =
-        args.has("org") ? TilePolicy::fixed(parse_org(args.get("org")))
-                        : TilePolicy::advisor();
-    TiledStore store(dir, grid, policy, DeviceModel::unthrottled(), codec);
+  if (grid.has_value()) {
+    // Without --org the advisor picks per tile.
     const TiledWriteResult written =
-        store.write(dataset.coords, dataset.values);
+        write_tiled(store, *grid, dataset.coords, dataset.values, org);
     std::printf("generated %zu points (%s, density %.4f%%) into %zu tile "
                 "fragments, %zu bytes\n",
                 dataset.point_count(), to_string(pattern).c_str(),
                 dataset.density() * 100.0, written.tiles_written,
                 written.file_bytes);
   } else {
-    const OrgKind org = parse_org(args.get("org", "gcsr"));
-    FragmentStore store(dir, shape, DeviceModel::unthrottled(), codec);
+    const OrgKind fixed = org.value_or(OrgKind::kGcsr);
     const WriteResult written =
-        store.write(dataset.coords, dataset.values, org);
+        store.write(dataset.coords, dataset.values, fixed);
     std::printf("generated %zu points (%s, density %.4f%%) as %s, %zu "
                 "bytes in %.4fs\n",
                 dataset.point_count(), to_string(pattern).c_str(),
-                dataset.density() * 100.0, to_string(org).c_str(),
+                dataset.density() * 100.0, to_string(fixed).c_str(),
                 written.file_bytes, written.times.total());
   }
   return 0;
@@ -351,10 +355,9 @@ void metrics_selftest() {
     const Shape shape = parse_shape("64,64");
     const SparseDataset dataset =
         make_dataset(shape, calibrate_gsp(0.02), 7);
-    const TileGrid grid(shape, parse_shape("32,32"));
-    TiledStore store(dir, grid, TilePolicy::advisor(),
-                     DeviceModel::unthrottled(), CodecKind::kIdentity);
-    store.write(dataset.coords, dataset.values);
+    FragmentStore store(dir, shape);
+    write_tiled(store, TileGrid(shape, parse_shape("32,32")), dataset.coords,
+                dataset.values, std::nullopt);
     store.scan_region(Box::whole(shape));  // cold: cache misses
     store.scan_region(Box::whole(shape));  // warm: cache hits
     store.read(dataset.coords);            // point-query path
