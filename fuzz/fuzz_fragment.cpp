@@ -1,7 +1,9 @@
-// Fuzz target for the fragment decoder — the outermost untrusted surface:
-// bytes read from disk go straight into decode_fragment(). The contract
-// under fuzzing: arbitrary input either decodes or throws artsparse::Error.
-// Crashes, sanitizer reports, or foreign exceptions are findings.
+// Fuzz target for fragment files — the outermost untrusted surface: bytes
+// read from disk go through view_fragment() and open_fragment(), the one
+// open path that reads, `artsparse check` and this harness share. The
+// contract under fuzzing: arbitrary input either opens or throws
+// artsparse::Error, and check_fragment_bytes() reports it without
+// throwing. Crashes, sanitizer reports, or foreign exceptions are findings.
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -10,24 +12,24 @@
 #include "check/validate.hpp"
 #include "core/error.hpp"
 #include "formats/format.hpp"
-#include "formats/registry.hpp"
 #include "storage/fragment.hpp"
+#include "storage/fragment_cache.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data), size);
+  // The deep validators may *report* issues, never crash or throw.
+  using artsparse::check::Depth;
+  artsparse::check::Issues issues;
+  artsparse::check::check_fragment_bytes(bytes, Depth::kFull, issues);
   try {
-    const artsparse::Fragment fragment = artsparse::decode_fragment(bytes);
-    // A fragment that decodes must also survive the read path and the deep
-    // validators without UB (they may *report* issues, never crash).
-    artsparse::check::Issues issues;
-    artsparse::check::check_fragment_bytes(
-        bytes, artsparse::check::Depth::kFull, issues);
-    auto format = artsparse::load_format(fragment.org, fragment.index);
-    if (fragment.shape.rank() > 0) {
-      const std::vector<artsparse::index_t> probe(fragment.shape.rank(), 0);
-      format->lookup(probe);
+    const artsparse::OpenFragment open =
+        artsparse::open_fragment(artsparse::view_fragment(bytes));
+    // A fragment that opens must survive the read API without UB.
+    if (open.shape.rank() > 0) {
+      const std::vector<artsparse::index_t> probe(open.shape.rank(), 0);
+      open.format->lookup(probe);
     }
   } catch (const artsparse::Error&) {
     // Expected for malformed input.

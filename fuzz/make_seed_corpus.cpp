@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 
 #include "core/box.hpp"
@@ -32,26 +33,28 @@ CoordBuffer example_coords() {
   return coords;
 }
 
+/// The values of example_coords().
+constexpr value_t kValues[] = {1.0, 2.0, 3.0, 4.0, 5.0};
+
 void write_bytes(const std::filesystem::path& path, const Bytes& data) {
   std::ofstream out(path, std::ios::binary);
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
 }
 
-Bytes fragment_bytes(OrgKind org, CodecKind codec) {
-  const CoordBuffer coords = example_coords();
+/// Encodes `coords` built as `org` through the write path's encoder.
+Bytes fragment_bytes(OrgKind org, CodecKind codec, const CoordBuffer& coords,
+                     std::span<const value_t> values) {
   const Shape shape({3, 3, 3});
   auto format = make_format(org);
   format->build(coords, shape);
-  Fragment fragment;
-  fragment.org = org;
-  fragment.codec = codec;
-  fragment.shape = shape;
-  fragment.bbox = Box::bounding(coords);
-  fragment.point_count = coords.size();
-  fragment.index = serialize_format(*format);
-  fragment.values = {1.0, 2.0, 3.0, 4.0, 5.0};
-  return encode_fragment(fragment);
+  FragmentInfo info;
+  info.org = org;
+  info.codec = codec;
+  info.shape = shape;
+  if (!coords.empty()) info.bbox = Box::bounding(coords);
+  info.point_count = coords.size();
+  return encode_fragment(info, *format, values);
 }
 
 }  // namespace
@@ -74,7 +77,7 @@ int main(int argc, char** argv) {
                             CodecKind::kRle}) {
       write_bytes(fragment_dir /
                       (name + "_" + to_string(codec) + ".asf"),
-                  fragment_bytes(org, codec));
+                  fragment_bytes(org, codec, example_coords(), kValues));
       ++written;
     }
     // fuzz_format convention: first byte selects the organization.
@@ -86,10 +89,11 @@ int main(int argc, char** argv) {
     write_bytes(format_dir / (name + ".bin"), seed);
     ++written;
   }
-  // An empty fragment exercises the zero-point paths.
-  Fragment empty;
-  empty.shape = Shape({3, 3, 3});
-  write_bytes(fragment_dir / "empty.asf", encode_fragment(empty));
+  // A zero-point COO fragment, as a write of an empty batch stores it,
+  // exercises the zero-point paths of the header, codec and format load.
+  const Bytes empty =
+      fragment_bytes(OrgKind::kCoo, CodecKind::kIdentity, CoordBuffer(3), {});
+  write_bytes(fragment_dir / "empty.asf", empty);
   ++written;
 
   std::printf("wrote %d seeds under %s\n", written, root.string().c_str());

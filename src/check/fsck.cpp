@@ -20,8 +20,8 @@ void append_quoted(std::string& out, const std::string& text) {
 
 /// The one sweep behind check_store, repair_store and FragmentStore's
 /// open/rescan: lists the directory, validates every *.asf at `depth` and,
-/// when `repair` is set, removes *.tmp orphans and renames failing
-/// fragments aside.
+/// when `repair` is set, removes *.tmp orphans and moves failing
+/// fragments aside with quarantine_file().
 StoreReport sweep(const std::filesystem::path& directory, Depth depth,
                   bool repair) {
   std::error_code ec;
@@ -52,9 +52,17 @@ StoreReport sweep(const std::filesystem::path& directory, Depth depth,
   std::sort(report.strays.begin(), report.strays.end());
   report.fragments.reserve(paths.size());
   for (const auto& path : paths) {
-    report.fragments.push_back(check_fragment_file(path, depth));
-    if (!repair || report.fragments.back().ok()) continue;
-    std::filesystem::rename(path, path.string() + kQuarantineSuffix, ec);
+    FragmentReport& fragment =
+        report.fragments.emplace_back(check_fragment_file(path, depth));
+    if (!repair || fragment.ok()) continue;
+    try {
+      quarantine_file(path.string());
+    } catch (const IoError& e) {
+      // Left in place and still failing: every open skips it, and the
+      // next repair tries again.
+      fragment.issues.add("fragment.quarantine", e.what());
+      continue;
+    }
     ARTSPARSE_COUNT("artsparse_store_quarantined_total", 1);
     report.quarantined.push_back(path.string());
   }

@@ -34,7 +34,10 @@ struct StoreReport {
   std::vector<FragmentReport> fragments;
   /// Orphaned .tmp stage files removed (repair only).
   std::vector<std::string> swept_tmp;
-  /// Failing fragments renamed to <name>.quarantine (repair only).
+  /// Failing fragments moved to <name>.quarantine, or to
+  /// <name>.quarantine.N when that name is taken (repair only). A fragment
+  /// whose move failed is not listed; its report carries a
+  /// fragment.quarantine issue instead.
   std::vector<std::string> quarantined;
   /// Non-fragment files left in place (.asf.quarantine casualties,
   /// operator droppings, and under a read-only check the .tmp stage

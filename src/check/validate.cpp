@@ -7,8 +7,7 @@
 #include "core/coords.hpp"
 #include "core/error.hpp"
 #include "formats/format.hpp"
-#include "formats/registry.hpp"
-#include "storage/fragment.hpp"
+#include "storage/fragment_cache.hpp"
 #include "storage/serializer.hpp"
 
 namespace artsparse::check {
@@ -93,28 +92,28 @@ bool check_header(std::span<const std::byte> data, FragmentInfo& info,
   return ok;
 }
 
-/// kFull: cross-checks between the decoded index, the header, and the
+/// kFull: cross-checks between the opened index, the header, and the
 /// values. O(n * d) — scans every stored point.
-void check_full(const Fragment& fragment, const SparseFormat& format,
+void check_full(const OpenFragment& open, const FragmentInfo& info,
                 Issues& issues) {
-  CoordBuffer points(std::max<std::size_t>(fragment.shape.rank(), 1));
+  CoordBuffer points(std::max<std::size_t>(open.shape.rank(), 1));
   std::vector<std::size_t> slots;
   try {
-    format.scan_box(Box::whole(fragment.shape), points, slots);
+    open.format->scan_box(Box::whole(open.shape), points, slots);
   } catch (const Error& e) {
     issues.add("fragment.scan", e.what());
     return;
   }
-  if (points.size() != fragment.point_count) {
+  if (points.size() != open.point_count) {
     issues.add("fragment.scan.count",
                "index enumerates " + std::to_string(points.size()) +
                    " points but the header records " +
-                   std::to_string(fragment.point_count));
+                   std::to_string(open.point_count));
     return;
   }
   // The slots must cover the value buffer exactly once — a broken build map
   // (or a forged index) silently pairs points with the wrong values.
-  std::vector<bool> seen(fragment.values.size(), false);
+  std::vector<bool> seen(open.values.size(), false);
   for (std::size_t slot : slots) {
     if (slot >= seen.size() || seen[slot]) {
       issues.add("fragment.slots.permutation",
@@ -126,16 +125,16 @@ void check_full(const Fragment& fragment, const SparseFormat& format,
   }
   if (!points.empty()) {
     const Box bbox = Box::bounding(points);
-    if (!(bbox == fragment.bbox)) {
+    if (!(bbox == open.bbox)) {
       issues.add("fragment.bbox.tight",
                  "recomputed bounding box " + bbox.to_string() +
-                     " != header box " + fragment.bbox.to_string());
+                     " != header box " + open.bbox.to_string());
     }
   }
-  if (!fragment.values.empty()) {
+  if (!open.values.empty()) {
     const auto [min_it, max_it] =
-        std::minmax_element(fragment.values.begin(), fragment.values.end());
-    if (*min_it != fragment.value_min || *max_it != fragment.value_max) {
+        std::minmax_element(open.values.begin(), open.values.end());
+    if (*min_it != info.value_min || *max_it != info.value_max) {
       issues.add("fragment.stats",
                  "header value range does not match stored values");
     }
@@ -151,35 +150,38 @@ FragmentInfo check_fragment_bytes(std::span<const std::byte> data,
     return info;
   }
 
-  Fragment fragment;
+  // The read path's own open: the framing is view_fragment's, the index
+  // (codec and format) open_fragment's.
+  FragmentView view;
   try {
-    fragment = decode_fragment(data);
+    view = view_fragment(data);
   } catch (const Error& e) {
     issues.add("fragment.decode", e.what());
     return info;
   }
-  std::unique_ptr<SparseFormat> format;
+  OpenFragment open;
   try {
-    format = load_format(fragment.org, fragment.index);
+    open = open_fragment(view);
   } catch (const Error& e) {
     issues.add("format.load", e.what());
     return info;
   }
-  if (format->point_count() != fragment.point_count) {
+  const SparseFormat& format = *open.format;
+  if (format.point_count() != open.point_count) {
     issues.add("fragment.point_count",
-               "index stores " + std::to_string(format->point_count()) +
+               "index stores " + std::to_string(format.point_count()) +
                    " points but the header records " +
-                   std::to_string(fragment.point_count));
+                   std::to_string(open.point_count));
   }
-  if (!(format->tensor_shape() == fragment.shape)) {
+  if (!(format.tensor_shape() == open.shape)) {
     issues.add("fragment.shape",
-               "index shape " + format->tensor_shape().to_string() +
-                   " != header shape " + fragment.shape.to_string());
+               "index shape " + format.tensor_shape().to_string() +
+                   " != header shape " + open.shape.to_string());
   }
-  format->check_invariants(issues);
+  format.check_invariants(issues);
 
   if (depth == Depth::kFull && issues.ok()) {
-    check_full(fragment, *format, issues);
+    check_full(open, view.info, issues);
   }
   return info;
 }

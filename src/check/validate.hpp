@@ -3,7 +3,8 @@
 // store walk can trade coverage for cost:
 //
 //   kHeader    — checksum + header parse only (what discovery already pays)
-//   kStructure — + decode the index and run the format's check_invariants()
+//   kStructure — + open the fragment as a read does (view_fragment, then
+//                open_fragment) and run the format's check_invariants()
 //   kFull      — + O(n * d) cross-checks between index, header, and values
 //                (slot coverage is a permutation, recomputed bounding box
 //                and value statistics match the header)
@@ -32,7 +33,9 @@ std::string to_string(Depth depth);
 /// Validates one encoded fragment at `depth`, appending any violations to
 /// `issues`, and returns the header it parsed (default when the checksum
 /// or the header parse failed). Never throws on malformed input: parse
-/// failures are reported as issues (rule "fragment.decode" etc.).
+/// failures are reported as issues. "fragment.decode" means view_fragment()
+/// rejected the framing; "format.load" means open_fragment() rejected the
+/// index (its codec or the format's load()).
 FragmentInfo check_fragment_bytes(std::span<const std::byte> data,
                                   Depth depth, Issues& issues);
 

@@ -1,10 +1,8 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <unordered_map>
 
 namespace artsparse::obs {
 
@@ -218,55 +216,6 @@ std::string trace_to_chrome(const std::vector<SpanRecord>& spans) {
     out += "}}";
   }
   out += "]}";
-  return out;
-}
-
-std::string trace_to_text(const std::vector<SpanRecord>& spans) {
-  // Depth = distance to a root through recorded parents. Parents that
-  // fell off the ring count as roots.
-  std::unordered_map<std::uint64_t, const SpanRecord*> by_id;
-  by_id.reserve(spans.size());
-  for (const SpanRecord& span : spans) {
-    by_id.emplace(span.id, &span);
-  }
-  auto depth_of = [&](const SpanRecord& span) {
-    std::size_t depth = 0;
-    std::uint64_t parent = span.parent;
-    while (parent != 0) {
-      const auto it = by_id.find(parent);
-      if (it == by_id.end()) break;
-      ++depth;
-      parent = it->second->parent;
-    }
-    return depth;
-  };
-
-  std::vector<const SpanRecord*> ordered;
-  ordered.reserve(spans.size());
-  for (const SpanRecord& span : spans) {
-    ordered.push_back(&span);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const SpanRecord* a, const SpanRecord* b) {
-              return a->start_ns != b->start_ns
-                         ? a->start_ns < b->start_ns
-                         : a->id < b->id;
-            });
-
-  std::string out;
-  for (const SpanRecord* span : ordered) {
-    out += std::string(2 * depth_of(*span), ' ');
-    char line[128];
-    std::snprintf(line, sizeof(line), "%s %.3fms (%s, thread %u)",
-                  span->name.c_str(),
-                  static_cast<double>(span->duration_ns) / 1e6,
-                  span->category.c_str(), span->thread);
-    out += line;
-    for (const auto& [key, value] : span->attrs) {
-      out += " " + key + "=" + value;
-    }
-    out += '\n';
-  }
   return out;
 }
 

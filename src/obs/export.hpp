@@ -1,6 +1,6 @@
 // Exporters: turn a MetricsSnapshot into Prometheus text exposition or
 // structured JSON, and a trace snapshot into Chrome trace_event JSON
-// (loadable in about://tracing / Perfetto) or a flat indented text dump.
+// (loadable in about://tracing / Perfetto).
 // These are pure functions over snapshots so tests can assert on exact
 // output and the CLI can serve any combination.
 #pragma once
@@ -28,10 +28,6 @@ std::string to_json(const MetricsSnapshot& snapshot);
 /// events, microsecond timestamps, span attributes under "args". Load the
 /// output in about://tracing or ui.perfetto.dev.
 std::string trace_to_chrome(const std::vector<SpanRecord>& spans);
-
-/// Flat text dump, one line per span ordered by start time, indented by
-/// nesting depth: "  write.build 1.234ms (store) org=gcsr".
-std::string trace_to_text(const std::vector<SpanRecord>& spans);
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes),
 /// shared by every JSON emitter that grew out of this subsystem.

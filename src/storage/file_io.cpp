@@ -4,8 +4,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "core/error.hpp"
 #include "obs/trace.hpp"
@@ -93,6 +95,27 @@ void rename_file(const std::string& from, const std::string& to) {
   fault_point(FaultOp::kRename, from);
   if (std::rename(from.c_str(), to.c_str()) != 0) {
     throw IoError::from_errno("rename", from);
+  }
+}
+
+void quarantine_file(const std::string& path) {
+  fault_point(FaultOp::kRename, path);
+  for (std::size_t n = 0;; ++n) {
+    std::string target = path + kQuarantineSuffix;
+    if (n > 0) {
+      target += '.';
+      target += std::to_string(n);
+    }
+    if (::link(path.c_str(), target.c_str()) != 0) {
+      if (errno == EEXIST) continue;
+      throw IoError::from_errno("link", target);
+    }
+    if (::unlink(path.c_str()) != 0) {
+      const IoError error = IoError::from_errno("unlink", path);
+      ::unlink(target.c_str());
+      throw error;
+    }
+    return;
   }
 }
 

@@ -64,6 +64,13 @@ void write_file(const std::string& path, std::span<const std::byte> data);
 /// rename(2) with error context and a fault hook.
 void rename_file(const std::string& from, const std::string& to);
 
+/// Moves `path` aside onto the first free name among `path`.quarantine,
+/// `path`.quarantine.1, `path`.quarantine.2, ... Never replaces a file:
+/// link(2) refuses a taken name, and `path` is unlinked only once the link
+/// exists. Throws IoError, leaving `path` in place, when the move fails;
+/// the fault hook is the rename op's.
+void quarantine_file(const std::string& path);
+
 /// fsync(2) on a directory, making renames within it durable. Required on
 /// POSIX for the commit point of an atomic file replace.
 void fsync_directory(const std::string& directory);

@@ -1,7 +1,6 @@
 #include "storage/fragment.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/error.hpp"
 #include "formats/format.hpp"
@@ -67,7 +66,7 @@ void write_header(BufferWriter& writer, const FragmentInfo& info) {
 template <typename PutIndex>
 Bytes encode_sections(FragmentInfo& info, std::span<const value_t> values,
                       PutIndex&& put_index) {
-  // Statistics block, recomputed so hand-built fragments stay consistent.
+  // Statistics block, computed from the values written.
   info.value_count = values.size();
   info.value_min = 0;
   info.value_max = 0;
@@ -90,43 +89,16 @@ Bytes encode_sections(FragmentInfo& info, std::span<const value_t> values,
   return writer.take();
 }
 
-/// encode_sections() for a codec other than identity, from the raw index.
-Bytes encode_coded(FragmentInfo& info, std::span<const std::byte> index,
-                   std::span<const value_t> values) {
-  const Bytes coded = make_codec(info.codec)->encode(index);
-  info.index_bytes = coded.size();
-  return encode_sections(info, values,
-                         [&](BufferWriter& out) { out.put_bytes(coded); });
-}
-
 }  // namespace
-
-std::vector<value_t> FragmentView::copy_values() const {
-  std::vector<value_t> out(values.size() / sizeof(value_t));
-  if (!out.empty()) std::memcpy(out.data(), values.data(), values.size());
-  return out;
-}
-
-Bytes encode_fragment(const Fragment& fragment) {
-  FragmentInfo info;
-  info.org = fragment.org;
-  info.codec = fragment.codec;
-  info.shape = fragment.shape;
-  info.bbox = fragment.bbox;
-  info.point_count = fragment.point_count;
-  if (info.codec != CodecKind::kIdentity) {
-    return encode_coded(info, fragment.index, fragment.values);
-  }
-  info.index_bytes = fragment.index.size();
-  return encode_sections(info, fragment.values, [&](BufferWriter& out) {
-    out.put_bytes(fragment.index);
-  });
-}
 
 Bytes encode_fragment(FragmentInfo& info, const SparseFormat& format,
                       std::span<const value_t> values) {
   if (info.codec != CodecKind::kIdentity) {
-    return encode_coded(info, serialize_format(format), values);
+    const Bytes coded =
+        make_codec(info.codec)->encode(serialize_format(format));
+    info.index_bytes = coded.size();
+    return encode_sections(info, values,
+                           [&](BufferWriter& out) { out.put_bytes(coded); });
   }
   BufferWriter sizer = BufferWriter::sizer();
   format.save(sizer);
@@ -148,6 +120,7 @@ FragmentView view_fragment(std::span<const std::byte> data) {
 
   BufferReader reader(data.subspan(0, body_size));
   FragmentView view;
+  view.file_bytes = data.size();
   view.info = read_header(reader);
   view.index = reader.view_bytes(view.info.index_bytes);
   view.values = reader.view_vec_bytes(sizeof(value_t));
@@ -156,21 +129,6 @@ FragmentView view_fragment(std::span<const std::byte> data) {
                   "fragment value count mismatch");
   detail::require(reader.exhausted(), "fragment has trailing bytes");
   return view;
-}
-
-Fragment decode_fragment(std::span<const std::byte> data) {
-  const FragmentView view = view_fragment(data);
-  Fragment fragment;
-  fragment.org = view.info.org;
-  fragment.codec = view.info.codec;
-  fragment.shape = view.info.shape;
-  fragment.bbox = view.info.bbox;
-  fragment.point_count = view.info.point_count;
-  fragment.value_min = view.info.value_min;
-  fragment.value_max = view.info.value_max;
-  fragment.index = make_codec(view.info.codec)->decode(view.index);
-  fragment.values = view.copy_values();
-  return fragment;
 }
 
 FragmentInfo decode_fragment_info(std::span<const std::byte> data) {

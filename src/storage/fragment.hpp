@@ -15,8 +15,8 @@
 // (TileDB-style pushdown). Both are 0 for empty fragments.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <span>
 
 #include "core/box.hpp"
 #include "core/shape.hpp"
@@ -29,23 +29,6 @@ class SparseFormat;  // formats/format.hpp
 
 inline constexpr std::uint32_t kFragmentMagic = 0x41535046;  // "ASPF"
 inline constexpr std::uint32_t kFragmentVersion = 1;
-
-/// Decoded fragment contents.
-struct Fragment {
-  OrgKind org = OrgKind::kCoo;
-  CodecKind codec = CodecKind::kIdentity;
-  Shape shape;                   ///< dense tensor shape of the store
-  Box bbox;                      ///< bounding box of stored points
-  std::uint64_t point_count = 0;
-  Bytes index;                   ///< serialized SparseFormat (decoded)
-  std::vector<value_t> values;   ///< reorganized per the build map
-
-  /// Smallest/largest stored value (both 0 when values is empty). Callers
-  /// building a Fragment by hand may leave them default; encode_fragment
-  /// recomputes them from `values`.
-  value_t value_min = 0;
-  value_t value_max = 0;
-};
 
 /// Header-only view, enough for fragment discovery (bounding-box overlap
 /// tests) without decoding payloads.
@@ -62,33 +45,26 @@ struct FragmentInfo {
 };
 
 /// A checked fragment whose sections view the bytes it was parsed from.
+/// open_fragment() (storage/fragment_cache.hpp) turns it into the loaded
+/// index that reads, `artsparse check` and the fuzzer all use.
 struct FragmentView {
   FragmentInfo info;
   std::span<const std::byte> index;   ///< as stored (codec-encoded)
   std::span<const std::byte> values;  ///< info.value_count f64s, unaligned
-
-  /// The value section copied into its own buffer.
-  std::vector<value_t> copy_values() const;
+  std::size_t file_bytes = 0;         ///< the whole file, checksum included
 };
 
-/// Serializes a fragment (applying its codec to the index section).
-Bytes encode_fragment(const Fragment& fragment);
-
 /// Serializes a fragment from its parts into one buffer of exactly the
-/// file's length, with the same bytes as the Fragment overload: the
-/// identity codec saves `format` straight into it. Reads org, codec, shape,
-/// bbox and point_count from `info`, and fills in its index_bytes,
-/// value_count and value statistics.
+/// file's length, applying info.codec to the index section: the identity
+/// codec saves `format` straight into it. Reads org, codec, shape, bbox and
+/// point_count from `info`, and fills in its index_bytes, value_count and
+/// value statistics.
 Bytes encode_fragment(FragmentInfo& info, const SparseFormat& format,
                       std::span<const value_t> values);
 
 /// Verifies the checksum and parses the header and section lengths,
 /// copying nothing.
 FragmentView view_fragment(std::span<const std::byte> data);
-
-/// view_fragment(), then decodes the index section through the recorded
-/// codec and copies both sections out.
-Fragment decode_fragment(std::span<const std::byte> data);
 
 /// Parses only the header.
 FragmentInfo decode_fragment_info(std::span<const std::byte> data);

@@ -1,14 +1,45 @@
 #include "storage/fragment_cache.hpp"
 
+#include <cstring>
+
 #include "core/env.hpp"
 #include "core/timer.hpp"
 #include "formats/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "storage/fragment.hpp"
 #include "storage/serializer.hpp"
 
 namespace artsparse {
+
+OpenFragment open_fragment(const FragmentView& view) {
+  // The format loads its arrays straight from the file bytes under the
+  // identity codec; other codecs decode the index section first.
+  Bytes decoded;
+  std::span<const std::byte> index = view.index;
+  if (view.info.codec != CodecKind::kIdentity) {
+    decoded = make_codec(view.info.codec)->decode(view.index);
+    index = decoded;
+  }
+
+  OpenFragment open;
+  open.org = view.info.org;
+  open.shape = view.info.shape;
+  open.bbox = view.info.bbox;
+  open.point_count = view.info.point_count;
+  open.file_bytes = view.file_bytes;
+  // load_format() rather than a bare load(): it applies the paranoid
+  // deep-invariant pass (ARTSPARSE_PARANOID) to every fragment opened.
+  open.format = load_format(view.info.org, index);
+  open.values.resize(view.values.size() / sizeof(value_t));
+  if (!view.values.empty()) {
+    std::memcpy(open.values.data(), view.values.data(), view.values.size());
+  }
+  // Budget accounting: the two payloads that dominate the resident size.
+  // The decoded in-memory index is approximated by its serialized size.
+  open.memory_bytes = open.values.size() * sizeof(value_t) + index.size() +
+                      sizeof(OpenFragment);
+  return open;
+}
 
 std::shared_ptr<const OpenFragment> load_open_fragment(
     const std::string& path, const DeviceModel& model) {
@@ -19,33 +50,8 @@ std::shared_ptr<const OpenFragment> load_open_fragment(
     auto device = open_for_read(path, model);
     raw = device->read_at(0, device->size());
   }
-  const FragmentView view = view_fragment(raw);
-
-  // The format loads its arrays straight from the file bytes under the
-  // identity codec; other codecs decode the index section first.
-  Bytes decoded;
-  std::span<const std::byte> index = view.index;
-  if (view.info.codec != CodecKind::kIdentity) {
-    decoded = make_codec(view.info.codec)->decode(view.index);
-    index = decoded;
-  }
-
-  auto open = std::make_shared<OpenFragment>();
-  open->org = view.info.org;
-  open->shape = view.info.shape;
-  open->bbox = view.info.bbox;
-  open->point_count = view.info.point_count;
-  open->file_bytes = raw.size();
-  // load_format() rather than a bare load(): it applies the paranoid
-  // deep-invariant pass (ARTSPARSE_PARANOID) to every fragment opened
-  // through the cache.
-  open->format = load_format(view.info.org, index);
-  open->values = view.copy_values();
-  // Budget accounting: the two payloads that dominate the resident size.
-  // The decoded in-memory index is approximated by its serialized size.
-  open->memory_bytes = open->values.size() * sizeof(value_t) + index.size() +
-                       sizeof(OpenFragment);
-  return open;
+  return std::make_shared<const OpenFragment>(
+      open_fragment(view_fragment(raw)));
 }
 
 std::size_t FragmentCache::budget_from_env() {

@@ -34,6 +34,7 @@
 #include "core/shape.hpp"
 #include "core/types.hpp"
 #include "formats/format.hpp"
+#include "storage/fragment.hpp"
 #include "storage/throttle.hpp"
 
 namespace artsparse {
@@ -53,9 +54,16 @@ struct OpenFragment {
   std::size_t memory_bytes = 0;  ///< what this entry charges to the budget
 };
 
-/// Loads `path` through the (possibly throttled) device model and resolves
-/// it into an OpenFragment. This is the single open-decode implementation
-/// the read paths previously each hand-rolled.
+/// Resolves checked fragment bytes into an OpenFragment: decodes the index
+/// section unless the codec is identity, loads the format through
+/// load_format() and copies the values out. The one function that turns
+/// fragment bytes into a loaded index; reads (through the cache),
+/// `artsparse check` and the fuzz harness all open fragments with it.
+/// Throws artsparse::Error when the codec or the format rejects the index.
+OpenFragment open_fragment(const FragmentView& view);
+
+/// Reads `path` through the (possibly throttled) device model, checks it
+/// with view_fragment() and opens it with open_fragment().
 std::shared_ptr<const OpenFragment> load_open_fragment(
     const std::string& path, const DeviceModel& model);
 

@@ -42,15 +42,6 @@ TiledWriteResult write_tiled(FragmentStore& store, const TileGrid& grid,
     const WriteResult written = store.write(tile_coords, tile_values, chosen);
     ++result.tiles_written;
     result.file_bytes += written.file_bytes;
-    result.index_bytes += written.index_bytes;
-    result.times.build += written.times.build;
-    result.times.build_sort += written.times.build_sort;
-    result.times.reorg += written.times.reorg;
-    result.times.write += written.times.write;
-    result.times.others += written.times.others;
-    result.times.io_attempts += written.times.io_attempts;
-    result.times.io_retries += written.times.io_retries;
-    result.times.backoff += written.times.backoff;
     result.tile_orgs[tile] = chosen;
   }
   write_span.attr("tiles", static_cast<std::uint64_t>(result.tiles_written));

@@ -22,8 +22,6 @@ struct TiledWriteResult {
   std::size_t tiles_written = 0;
   std::size_t point_count = 0;
   std::size_t file_bytes = 0;
-  std::size_t index_bytes = 0;
-  WriteBreakdown times;  ///< summed across tiles
   /// Organization chosen per tile id (what the advisor decided).
   std::map<index_t, OrgKind> tile_orgs;
 };

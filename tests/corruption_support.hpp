@@ -1,14 +1,17 @@
 // Seeded corruption corpus shared by test_corruption (library-level
 // expectations) and test_cli_check (the fsck CLI must flag every class).
-// Each generator returns complete fragment bytes. Classes that corrupt the
-// *index* re-encode the fragment afterwards, so the CRC is valid and the
-// corruption reaches the format loader / deep validators instead of being
-// caught by the checksum.
+// Each generator returns complete fragment bytes, built by the write path's
+// encoder. Classes that corrupt the *index* patch it at the section offset
+// view_fragment() reports and reseal the CRC, so the corruption reaches the
+// format loader / deep validators instead of being caught by the checksum.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "formats/registry.hpp"
 #include "storage/fragment.hpp"
@@ -17,26 +20,64 @@
 
 namespace artsparse::testing {
 
+/// What the write path hands encode_fragment(): the header fields, the
+/// built index and the slot-ordered values. Tests edit a field before
+/// encode() to forge a fragment whose checksum is valid.
+struct FragmentParts {
+  FragmentInfo info;
+  std::unique_ptr<SparseFormat> format;
+  std::vector<value_t> values;
+
+  Bytes encode() { return encode_fragment(info, *format, values); }
+};
+
+/// The Fig. 1 points built as `org`, ready to encode with `codec`.
+inline FragmentParts fig1_parts(OrgKind org,
+                                CodecKind codec = CodecKind::kIdentity) {
+  FragmentParts parts;
+  const CoordBuffer coords = fig1_coords();
+  parts.format = make_format(org);
+  parts.format->build(coords, fig1_shape());
+  parts.info.org = org;
+  parts.info.codec = codec;
+  parts.info.shape = fig1_shape();
+  parts.info.bbox = Box::bounding(coords);
+  parts.info.point_count = coords.size();
+  parts.values = fig1_values();
+  return parts;
+}
+
 inline Bytes valid_fragment_bytes(OrgKind org,
                                   CodecKind codec = CodecKind::kIdentity) {
-  auto format = make_format(org);
-  const CoordBuffer coords = fig1_coords();
-  format->build(coords, fig1_shape());
-  Fragment fragment;
-  fragment.org = org;
-  fragment.codec = codec;
-  fragment.shape = fig1_shape();
-  fragment.bbox = Box::bounding(coords);
-  fragment.point_count = coords.size();
-  fragment.index = serialize_format(*format);
-  fragment.values = fig1_values();
-  return encode_fragment(fragment);
+  return fig1_parts(org, codec).encode();
 }
 
 /// Overwrites the u64 at byte `offset` of `data`.
 inline void poke_u64(Bytes& data, std::size_t offset, std::uint64_t value) {
   ASSERT_LE(offset + sizeof(value), data.size());
   std::memcpy(data.data() + offset, &value, sizeof(value));
+}
+
+/// Rewrites the trailing CRC-32 of a fragment to match its patched body.
+inline void reseal(Bytes& data) {
+  const std::size_t body = data.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = crc32(std::span(data).first(body));
+  std::memcpy(data.data() + body, &crc, sizeof(crc));
+}
+
+/// Patches the u64 of an identity-codec fragment's index section that
+/// `seek` positions a reader over that section on, then reseals the CRC,
+/// so the corruption reaches the format loader instead of the checksum.
+inline Bytes patch_index_u64(Bytes data, std::uint64_t value,
+                             void (*seek)(BufferReader&)) {
+  const FragmentView view = view_fragment(data);
+  BufferReader reader(view.index);
+  seek(reader);
+  const auto index_offset =
+      static_cast<std::size_t>(view.index.data() - data.data());
+  poke_u64(data, index_offset + reader.offset(), value);
+  reseal(data);
+  return data;
 }
 
 /// Class 1: file cut off mid-payload.
@@ -67,54 +108,83 @@ inline void skip_to_offsets(BufferReader& reader) {
   reader.get_u64();  // cols
 }
 
-/// Class 3: GCSR++ row_ptr (or GCSC++ col_ptr) made non-monotone. The
-/// fragment is re-encoded so only the always-on load() checks can catch it.
-inline Bytes corrupt_nonmonotone_offsets(OrgKind org) {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(org));
-  BufferReader reader(fragment.index);
+/// Positions `reader` on the second entry of the offset vector.
+inline void skip_to_second_offset(BufferReader& reader) {
   skip_to_offsets(reader);
   reader.get_u64();  // offsets length prefix
-  // Spike the second offset above the final one.
-  poke_u64(fragment.index, reader.offset() + sizeof(std::uint64_t), 1000);
-  return encode_fragment(fragment);
+  reader.get_u64();  // first offset
+}
+
+/// Class 3: GCSR++ row_ptr (or GCSC++ col_ptr) made non-monotone by
+/// spiking the second offset above the final one. The CRC is resealed so
+/// only the always-on load() checks can catch it.
+inline Bytes corrupt_nonmonotone_offsets(OrgKind org) {
+  return patch_index_u64(valid_fragment_bytes(org), 1000,
+                         skip_to_second_offset);
 }
 
 inline Bytes corrupt_nonmonotone_offsets() {
   return corrupt_nonmonotone_offsets(OrgKind::kGcsr);
 }
 
+/// Positions `reader` on the first minor index (col_ind / row_ind).
+inline void skip_to_minor_index(BufferReader& reader) {
+  skip_to_offsets(reader);
+  reader.get_u64_vec();  // offsets
+  reader.get_u64();      // minor index length prefix
+}
+
 /// A GCSR++ col_ind (or GCSC++ row_ind) entry past the minor extent.
 /// load() does not range-check minor indices, so the fragment loads and
 /// only check_invariants() can flag it.
 inline Bytes corrupt_minor_index(OrgKind org) {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(org));
-  BufferReader reader(fragment.index);
-  skip_to_offsets(reader);
-  reader.get_u64_vec();  // offsets
-  reader.get_u64();      // minor index length prefix
-  poke_u64(fragment.index, reader.offset(), 1000);  // first minor index
-  return encode_fragment(fragment);
+  return patch_index_u64(valid_fragment_bytes(org), 1000, skip_to_minor_index);
+}
+
+/// Positions `reader` on the first coordinate of a COO or SortedCOO index
+/// (CooFormat::save: shape vec | rank | flat coord vec).
+inline void skip_to_first_coord(BufferReader& reader) {
+  reader.get_u64_vec();  // shape extents
+  reader.get_u64();      // rank
+  reader.get_u64();      // flat length prefix
 }
 
 /// Class 4: a COO coordinate outside the tensor shape. Survives load()
 /// (cheap checks only) and must be caught by the deep validators.
 inline Bytes corrupt_out_of_shape_coord() {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(OrgKind::kCoo));
-  // Index layout (CooFormat::save): shape vec | rank | flat coord vec.
-  BufferReader reader(fragment.index);
-  reader.get_u64_vec();  // shape extents
-  reader.get_u64();      // rank
-  reader.get_u64();      // flat length prefix
-  poke_u64(fragment.index, reader.offset(), 99);  // first coordinate
-  return encode_fragment(fragment);
+  return patch_index_u64(valid_fragment_bytes(OrgKind::kCoo), 99,
+                         skip_to_first_coord);
+}
+
+/// A SortedCOO index whose points are out of order: the first point's
+/// leading coordinate is spiked past the second's, within the 3x3x3 shape.
+inline Bytes corrupt_unsorted_sorted_coo() {
+  return patch_index_u64(valid_fragment_bytes(OrgKind::kSortedCoo), 2,
+                         skip_to_first_coord);
 }
 
 /// Class 5: broken value/map pairing — the header promises one value per
 /// point but the value buffer is short.
 inline Bytes corrupt_bad_map() {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(OrgKind::kLinear));
-  fragment.values.pop_back();
-  return encode_fragment(fragment);
+  FragmentParts parts = fig1_parts(OrgKind::kLinear);
+  parts.values.pop_back();
+  return parts.encode();
+}
+
+/// A CSF header that records one point fewer than its index holds, with
+/// one value fewer so the header-level count check stays green.
+inline Bytes corrupt_understated_point_count() {
+  FragmentParts parts = fig1_parts(OrgKind::kCsf);
+  parts.info.point_count -= 1;
+  parts.values.pop_back();
+  return parts.encode();
+}
+
+/// A BCSR header whose bounding box no longer covers the points.
+inline Bytes corrupt_loose_bbox() {
+  FragmentParts parts = fig1_parts(OrgKind::kBcsr);
+  parts.info.bbox = Box({0, 0, 0}, {0, 0, 0});
+  return parts.encode();
 }
 
 }  // namespace artsparse::testing

@@ -56,19 +56,17 @@ TEST(Contracts, ParanoidGuardOverridesAndRestores) {
 }
 
 TEST(Contracts, ParanoidLoadRejectsOutOfShapeCoords) {
-  const Fragment fragment =
-      decode_fragment(testing::corrupt_out_of_shape_coord());
+  const Bytes corrupt = testing::corrupt_out_of_shape_coord();
   {
     check::ParanoidGuard off(false);
-    EXPECT_NO_THROW(load_format(fragment.org, fragment.index));
+    EXPECT_NO_THROW(open_fragment(view_fragment(corrupt)));
   }
   {
     check::ParanoidGuard on(true);
-    EXPECT_THROW(load_format(fragment.org, fragment.index), FormatError);
+    EXPECT_THROW(open_fragment(view_fragment(corrupt)), FormatError);
     // Healthy indexes still load in paranoid mode.
-    const Fragment good =
-        decode_fragment(testing::valid_fragment_bytes(OrgKind::kCoo));
-    EXPECT_NO_THROW(load_format(good.org, good.index));
+    const Bytes good = testing::valid_fragment_bytes(OrgKind::kCoo);
+    EXPECT_NO_THROW(open_fragment(view_fragment(good)));
   }
 }
 

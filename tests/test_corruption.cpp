@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/contracts.hpp"
 #include "check/issues.hpp"
@@ -13,7 +15,9 @@
 #include "core/error.hpp"
 #include "corruption_support.hpp"
 #include "formats/registry.hpp"
+#include "storage/file_io.hpp"
 #include "storage/fragment.hpp"
+#include "storage/fragment_cache.hpp"
 
 namespace artsparse {
 namespace {
@@ -26,6 +30,18 @@ bool has_rule(const check::Issues& issues, const std::string& rule) {
                      [&](const check::Issue& issue) {
                        return issue.rule == rule;
                      });
+}
+
+/// Whether check_fragment_bytes() said the fragment does not open: a
+/// framing rule of its header pass, or a rule of the open itself.
+bool names_open_failure(const check::Issues& issues) {
+  for (const check::Issue& issue : issues.items()) {
+    const std::string& rule = issue.rule;
+    if (rule == "fragment.size" || rule == "fragment.checksum") return true;
+    if (rule == "fragment.header" || rule == "fragment.decode") return true;
+    if (rule == "format.load") return true;
+  }
+  return false;
 }
 
 check::Issues check_bytes(const Bytes& bytes, check::Depth depth) {
@@ -54,7 +70,7 @@ TEST(CorruptionCorpus, TruncatedBufferIsRejectedAtEveryCut) {
                             valid.size() - 1}) {
       const Bytes bytes(valid.begin(),
                         valid.begin() + static_cast<std::ptrdiff_t>(cut));
-      EXPECT_THROW(decode_fragment(bytes), FormatError)
+      EXPECT_THROW(view_fragment(bytes), FormatError)
           << to_string(org) << " cut at " << cut;
       EXPECT_FALSE(check_bytes(bytes, check::Depth::kHeader).ok())
           << to_string(org) << " cut at " << cut;
@@ -70,7 +86,7 @@ TEST(CorruptionCorpus, BitFlipAnywhereFailsTheChecksum) {
        pos += valid.size() / 16 + 1) {
     Bytes bytes = valid;
     bytes[pos] ^= std::byte{0x01};
-    EXPECT_THROW(decode_fragment(bytes), FormatError) << "flip at " << pos;
+    EXPECT_THROW(view_fragment(bytes), FormatError) << "flip at " << pos;
     const check::Issues issues = check_bytes(bytes, check::Depth::kHeader);
     EXPECT_TRUE(has_rule(issues, "fragment.checksum") ||
                 has_rule(issues, "fragment.header"))
@@ -81,11 +97,10 @@ TEST(CorruptionCorpus, BitFlipAnywhereFailsTheChecksum) {
 TEST(CorruptionCorpus, NonMonotoneOffsetsAreRejectedByLoad) {
   for (OrgKind org : {OrgKind::kGcsr, OrgKind::kGcsc}) {
     const Bytes bytes = testing::corrupt_nonmonotone_offsets(org);
-    // The CRC was recomputed, so the fragment itself decodes fine...
-    const Fragment fragment = decode_fragment(bytes);
+    // The CRC was resealed, so the framing checks out...
+    const FragmentView view = view_fragment(bytes);
     // ...and the always-on load() contract must refuse the index.
-    EXPECT_THROW(load_format(fragment.org, fragment.index), FormatError)
-        << to_string(org);
+    EXPECT_THROW(open_fragment(view), FormatError) << to_string(org);
     const check::Issues issues =
         check_bytes(bytes, check::Depth::kStructure);
     EXPECT_TRUE(has_rule(issues, "format.load"))
@@ -99,14 +114,12 @@ TEST(CorruptionCorpus, MinorIndexPastBoundIsCaughtByDeepValidation) {
       {OrgKind::kGcsc, "gcsc.row_ind.range"},
   };
   for (const auto& [org, rule] : cases) {
-    const Fragment fragment =
-        decode_fragment(testing::corrupt_minor_index(org));
-    // Plain load(): a paranoid load_format() would already throw.
-    auto format = make_format(org);
-    BufferReader reader(fragment.index);
-    format->load(reader);
+    // Cheap load(): a paranoid one would already throw.
+    const check::ParanoidGuard cheap_load(false);
+    const OpenFragment open =
+        open_fragment(view_fragment(testing::corrupt_minor_index(org)));
     check::Issues issues;
-    format->check_invariants(issues);
+    open.format->check_invariants(issues);
     EXPECT_TRUE(has_rule(issues, rule))
         << to_string(org) << ": " << issues.summary();
   }
@@ -117,13 +130,12 @@ TEST(CorruptionCorpus, OutOfShapeCoordIsCaughtByDeepValidation) {
   // Cheap load() checks alone do not scan coordinates, so the index loads
   // (with paranoid mode off, whatever ARTSPARSE_PARANOID says)...
   const check::ParanoidGuard cheap_load(false);
-  const Fragment fragment = decode_fragment(bytes);
-  auto format = load_format(fragment.org, fragment.index);
+  const OpenFragment open = open_fragment(view_fragment(bytes));
   // ...but the deep invariant pass pins the exact rule.
   check::Issues issues;
-  format->check_invariants(issues);
+  open.format->check_invariants(issues);
   EXPECT_TRUE(has_rule(issues, "coo.coords.in_shape")) << issues.summary();
-  EXPECT_THROW(format->validate(), FormatError);
+  EXPECT_THROW(open.format->validate(), FormatError);
   EXPECT_FALSE(check_bytes(bytes, check::Depth::kStructure).ok());
 }
 
@@ -136,46 +148,72 @@ TEST(CorruptionCorpus, BadMapPermutationFailsTheCountCrossCheck) {
 TEST(CorruptionCorpus, UnsortedSortedCooIsFlagged) {
   // A SortedCOO index whose points are out of order: every binary-search
   // lookup silently degrades, so the deep validator must flag it.
-  Fragment fragment =
-      decode_fragment(valid_fragment_bytes(OrgKind::kSortedCoo));
-  // Index layout (SortedCooFormat::save): shape vec | rank | flat vec.
-  BufferReader reader(fragment.index);
-  reader.get_u64_vec();  // shape extents
-  reader.get_u64();      // rank
-  reader.get_u64();      // flat length prefix
-  // Move the first point past the second by spiking its leading coordinate
-  // within the 3x3x3 shape.
-  testing::poke_u64(fragment.index, reader.offset(), 2);
-  const Bytes bytes = encode_fragment(fragment);
+  const Bytes bytes = testing::corrupt_unsorted_sorted_coo();
 
   // The cheap load accepts it; a paranoid one would throw before the
   // validator could be asked.
   const check::ParanoidGuard cheap_load(false);
-  auto format = load_format(OrgKind::kSortedCoo,
-                            decode_fragment(bytes).index);
+  const OpenFragment open = open_fragment(view_fragment(bytes));
   check::Issues issues;
-  format->check_invariants(issues);
+  open.format->check_invariants(issues);
   EXPECT_TRUE(has_rule(issues, "sorted_coo.order")) << issues.summary();
 }
 
 TEST(CorruptionCorpus, UnderstatedPointCountIsCaughtAtStructureDepth) {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(OrgKind::kCsf));
-  ASSERT_GE(fragment.point_count, 2u);
-  fragment.point_count -= 1;
-  fragment.values.pop_back();  // keep the header-level count check green
-  const Bytes bytes = encode_fragment(fragment);
+  const Bytes bytes = testing::corrupt_understated_point_count();
   ASSERT_TRUE(check_bytes(bytes, check::Depth::kHeader).ok());
   const check::Issues issues = check_bytes(bytes, check::Depth::kStructure);
   EXPECT_TRUE(has_rule(issues, "fragment.point_count")) << issues.summary();
 }
 
 TEST(CorruptionCorpus, LooseBboxIsCaughtAtFullDepth) {
-  Fragment fragment = decode_fragment(valid_fragment_bytes(OrgKind::kBcsr));
-  // Shrink the advertised bounding box so it no longer covers the points.
-  fragment.bbox = Box({0, 0, 0}, {0, 0, 0});
-  const Bytes bytes = encode_fragment(fragment);
+  const Bytes bytes = testing::corrupt_loose_bbox();
   const check::Issues issues = check_bytes(bytes, check::Depth::kFull);
   EXPECT_FALSE(issues.ok());
+}
+
+/// Reads and `artsparse check` open a fragment through the same
+/// view_fragment() + open_fragment(), so at structure depth check names a
+/// failure to open exactly when that open throws.
+TEST(CorruptionCorpus, CheckReportsAnOpenFailureExactlyWhenReadsFail) {
+  const check::ParanoidGuard cheap_load(false);
+  std::vector<std::pair<std::string, Bytes>> cases = {
+      {"truncated", testing::corrupt_truncated()},
+      {"checksum", testing::corrupt_checksum()},
+      {"nonmonotone_gcsr",
+       testing::corrupt_nonmonotone_offsets(OrgKind::kGcsr)},
+      {"nonmonotone_gcsc",
+       testing::corrupt_nonmonotone_offsets(OrgKind::kGcsc)},
+      {"minor_index_gcsr", testing::corrupt_minor_index(OrgKind::kGcsr)},
+      {"minor_index_gcsc", testing::corrupt_minor_index(OrgKind::kGcsc)},
+      {"out_of_shape_coord", testing::corrupt_out_of_shape_coord()},
+      {"unsorted_sorted_coo", testing::corrupt_unsorted_sorted_coo()},
+      {"bad_map", testing::corrupt_bad_map()},
+      {"understated_point_count", testing::corrupt_understated_point_count()},
+      {"loose_bbox", testing::corrupt_loose_bbox()},
+  };
+  const std::filesystem::path corpus(ARTSPARSE_FRAGMENT_CORPUS_DIR);
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    cases.emplace_back(entry.path().filename().string(),
+                       read_file(entry.path().string()));
+  }
+  ASSERT_GE(cases.size(), 11u + 22u);
+  std::size_t failing_opens = 0;
+  for (const auto& [name, bytes] : cases) {
+    bool open_throws = false;
+    try {
+      open_fragment(view_fragment(bytes));
+    } catch (const Error&) {
+      open_throws = true;
+    }
+    failing_opens += open_throws ? 1 : 0;
+    const check::Issues issues =
+        check_bytes(bytes, check::Depth::kStructure);
+    EXPECT_EQ(names_open_failure(issues), open_throws)
+        << name << ": " << issues.summary();
+  }
+  // Truncated, checksum and both non-monotone cases.
+  EXPECT_EQ(failing_opens, 4u);
 }
 
 }  // namespace

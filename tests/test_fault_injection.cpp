@@ -344,6 +344,76 @@ TEST_F(FaultInjection, ReopenNeverReusesAQuarantinedName) {
   EXPECT_EQ(store.fragment_count(), 1u);
 }
 
+TEST_F(FaultInjection, QuarantineNeverReplacesAnOlderQuarantine) {
+  // A directory that already holds frag_000001.asf.quarantine (left by an
+  // older build, or restored by an operator) when frag_000001.asf is torn
+  // again: the second quarantine takes the next free name.
+  const Shape shape{16, 16};
+  CoordBuffer coords(2);
+  coords.append({3, 4});
+  {
+    FragmentStore store(dir_, shape);
+    store.write(coords, std::vector<value_t>{1.0}, OrgKind::kLinear);
+    store.write(coords, std::vector<value_t>{2.0}, OrgKind::kLinear);
+  }
+  const fs::path victim = dir_ / "frag_000001.asf";
+  const fs::path older = victim.string() + ".quarantine";
+  const fs::path newer = victim.string() + ".quarantine.1";
+  const Bytes whole = read_file(victim.string());
+  const auto half = static_cast<std::ptrdiff_t>(whole.size() / 2);
+  const Bytes torn(whole.begin(), whole.begin() + half);
+  write_file(victim.string(), torn);
+  const Bytes older_bytes = payload(40);
+  write_file(older.string(), older_bytes);
+
+  const check::StoreReport report =
+      check::repair_store(dir_, check::Depth::kHeader);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0], victim.string());
+  EXPECT_FALSE(fs::exists(victim));
+  EXPECT_TRUE(read_file(older.string()) == older_bytes);
+  EXPECT_TRUE(read_file(newer.string()) == torn);
+
+  FragmentStore store(dir_, shape);
+  EXPECT_EQ(store.fragment_count(), 1u);
+  EXPECT_EQ(store.last_scan().strays.size(), 2u);
+  const fs::path next =
+      store.write(coords, std::vector<value_t>{3.0}, OrgKind::kLinear).path;
+  EXPECT_EQ(next.filename(), "frag_000002.asf");
+  EXPECT_TRUE(read_file(older.string()) == older_bytes);
+  EXPECT_TRUE(read_file(newer.string()) == torn);
+}
+
+TEST_F(FaultInjection, FailedQuarantineIsReportedNotListed) {
+  const Shape shape{16, 16};
+  {
+    FragmentStore store(dir_, shape);
+    CoordBuffer coords(2);
+    coords.append({5, 5});
+    store.write(coords, std::vector<value_t>{1.5}, OrgKind::kGcsr);
+  }
+  const fs::path victim = dir_ / "frag_000001.asf";
+  write_file(victim.string(), payload(64));  // torn
+
+  FaultInjector::instance().configure("rename:1:EIO");
+  const check::StoreReport report =
+      check::repair_store(dir_, check::Depth::kHeader);
+  EXPECT_TRUE(report.quarantined.empty());
+  ASSERT_EQ(report.fragments.size(), 2u);
+  const check::FragmentReport& failed = report.fragments[1];
+  EXPECT_EQ(failed.path, victim.string());
+  ASSERT_FALSE(failed.issues.ok());
+  EXPECT_EQ(failed.issues.items().back().rule, "fragment.quarantine");
+  EXPECT_TRUE(fs::exists(victim));
+  EXPECT_TRUE(files_with_extension(".quarantine").empty());
+
+  // The next repair, without the fault, moves it aside.
+  FaultInjector::instance().reset();
+  EXPECT_EQ(check::repair_store(dir_, check::Depth::kHeader).quarantined,
+            std::vector<std::string>{victim.string()});
+  EXPECT_FALSE(fs::exists(victim));
+}
+
 TEST_F(FaultInjection, RescanIgnoresAndLogsStrayFiles) {
   const Shape shape{8, 8};
   FragmentStore store(dir_, shape);

@@ -1,30 +1,18 @@
-// Robustness fuzzing of the fragment decoder: random truncations, random
+// Robustness fuzzing of the fragment open path: random truncations, random
 // byte corruptions, and random garbage must always fail with FormatError —
 // never crash, hang, or allocate absurd amounts.
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
+#include "corruption_support.hpp"
 #include "formats/registry.hpp"
 #include "storage/fragment.hpp"
-#include "test_support.hpp"
+#include "storage/fragment_cache.hpp"
 
 namespace artsparse {
 namespace {
 
-Bytes valid_fragment_bytes(OrgKind org, CodecKind codec) {
-  auto format = make_format(org);
-  const CoordBuffer coords = testing::fig1_coords();
-  format->build(coords, testing::fig1_shape());
-  Fragment fragment;
-  fragment.org = org;
-  fragment.codec = codec;
-  fragment.shape = testing::fig1_shape();
-  fragment.bbox = Box::bounding(coords);
-  fragment.point_count = coords.size();
-  fragment.index = serialize_format(*format);
-  fragment.values = testing::fig1_values();
-  return encode_fragment(fragment);
-}
+using testing::valid_fragment_bytes;
 
 TEST(FragmentFuzz, EveryTruncationFailsCleanly) {
   const Bytes valid = valid_fragment_bytes(OrgKind::kGcsr,
@@ -32,7 +20,7 @@ TEST(FragmentFuzz, EveryTruncationFailsCleanly) {
   for (std::size_t keep = 0; keep < valid.size(); ++keep) {
     const Bytes truncated(valid.begin(),
                           valid.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_THROW(decode_fragment(truncated), FormatError)
+    EXPECT_THROW(view_fragment(truncated), FormatError)
         << "kept " << keep << " of " << valid.size();
   }
 }
@@ -47,7 +35,7 @@ TEST(FragmentFuzz, SingleByteCorruptionNeverDecodesSilently) {
     Bytes corrupt = valid;
     const std::size_t at = rng.next_below(corrupt.size());
     corrupt[at] ^= static_cast<std::byte>(1 + rng.next_below(255));
-    EXPECT_THROW(decode_fragment(corrupt), FormatError) << "byte " << at;
+    EXPECT_THROW(view_fragment(corrupt), FormatError) << "byte " << at;
   }
 }
 
@@ -58,7 +46,7 @@ TEST(FragmentFuzz, RandomGarbageRejected) {
     for (auto& b : garbage) {
       b = static_cast<std::byte>(rng.next_below(256));
     }
-    EXPECT_THROW(decode_fragment(garbage), FormatError);
+    EXPECT_THROW(view_fragment(garbage), FormatError);
     EXPECT_THROW(decode_fragment_info(garbage), FormatError);
   }
 }
@@ -76,7 +64,7 @@ TEST(FragmentFuzz, TruncatedInfoFailsCleanlyForEveryOrgAndCodec) {
         EXPECT_THROW(decode_fragment_info(prefix), FormatError);
       }
       // The intact payload still parses.
-      EXPECT_EQ(decode_fragment(valid).point_count, 5u);
+      EXPECT_EQ(open_fragment(view_fragment(valid)).point_count, 5u);
     }
   }
 }

@@ -108,17 +108,5 @@ TEST(ObsTrace, ChromeExportIsValidTraceEventJson) {
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
 }
 
-TEST(ObsTrace, TextExportIndentsByDepth) {
-  ScopedTracing tracing;
-  {
-    Span outer("obs_test.text_outer", "test");
-    Span inner("obs_test.text_inner", "test");
-    inner.end();
-  }
-  const std::string text = trace_to_text(TraceBuffer::global().snapshot());
-  EXPECT_NE(text.find("obs_test.text_outer"), std::string::npos);
-  EXPECT_NE(text.find("\n  obs_test.text_inner"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace artsparse::obs

@@ -41,37 +41,35 @@ TEST(ValueRange, Constructors) {
 }
 
 TEST(FragmentStats, MinMaxRecordedInHeader) {
-  Fragment fragment;
-  fragment.org = OrgKind::kCoo;
-  fragment.shape = Shape{4, 4};
-  fragment.values = {3.5, -2.0, 7.25};
+  FragmentInfo info;
+  info.org = OrgKind::kCoo;
+  info.shape = Shape{4, 4};
   CooFormat coo;
   CoordBuffer coords(2);
   coords.append({0, 0});
   coords.append({1, 1});
   coords.append({2, 2});
-  coo.build(coords, fragment.shape);
-  fragment.index = serialize_format(coo);
-  fragment.bbox = Box::bounding(coords);
-  fragment.point_count = 3;
+  coo.build(coords, info.shape);
+  info.bbox = Box::bounding(coords);
+  info.point_count = 3;
+  const std::vector<value_t> values = {3.5, -2.0, 7.25};
 
-  const FragmentInfo info =
-      decode_fragment_info(encode_fragment(fragment));
-  EXPECT_EQ(info.value_min, -2.0);
-  EXPECT_EQ(info.value_max, 7.25);
+  const FragmentInfo stored =
+      decode_fragment_info(encode_fragment(info, coo, values));
+  EXPECT_EQ(stored.value_min, -2.0);
+  EXPECT_EQ(stored.value_max, 7.25);
 }
 
 TEST(FragmentStats, EmptyFragmentHasZeroStats) {
-  Fragment fragment;
-  fragment.org = OrgKind::kCoo;
-  fragment.shape = Shape{4, 4};
+  FragmentInfo info;
+  info.org = OrgKind::kCoo;
+  info.shape = Shape{4, 4};
   CooFormat coo;
-  coo.build(CoordBuffer(2), fragment.shape);
-  fragment.index = serialize_format(coo);
-  const FragmentInfo info =
-      decode_fragment_info(encode_fragment(fragment));
-  EXPECT_EQ(info.value_min, 0.0);
-  EXPECT_EQ(info.value_max, 0.0);
+  coo.build(CoordBuffer(2), info.shape);
+  const FragmentInfo stored =
+      decode_fragment_info(encode_fragment(info, coo, {}));
+  EXPECT_EQ(stored.value_min, 0.0);
+  EXPECT_EQ(stored.value_max, 0.0);
 }
 
 TEST_F(PredicateTest, FiltersIndividualValues) {
