@@ -3,9 +3,13 @@
 // forged or the index is corrupted in memory. The first input byte selects
 // the organization; the rest is the serialized index. Arbitrary input must
 // either load or throw artsparse::Error, and a successful load must leave
-// an object whose whole read API is memory-safe.
+// an object whose whole read API is memory-safe and that saves exactly the
+// bytes it was loaded from: save and load walk one declaration, so an
+// index that loads has one encoding.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -25,7 +29,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       reinterpret_cast<const std::byte*>(data + 1), size - 1);
   try {
     auto format = artsparse::load_format(org, payload);
-    format->index_bytes();
+    const artsparse::Bytes saved = artsparse::serialize_format(*format);
+    if (!std::equal(saved.begin(), saved.end(), payload.begin(),
+                    payload.end())) {
+      std::abort();
+    }
     artsparse::check::Issues issues;
     format->check_invariants(issues);
     const artsparse::Shape& shape = format->tensor_shape();

@@ -151,10 +151,11 @@ FragmentInfo check_fragment_bytes(std::span<const std::byte> data,
   }
 
   // The read path's own open: the framing is view_fragment's, the index
-  // (codec and format) open_fragment's.
+  // (codec and format) open_fragment's. check_header() verified the
+  // checksum, so the body is CRC'd once.
   FragmentView view;
   try {
-    view = view_fragment(data);
+    view = view_fragment(data, Checksum::kVerified);
   } catch (const Error& e) {
     issues.add("fragment.decode", e.what());
     return info;

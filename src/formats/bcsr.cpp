@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 
-#include "check/issues.hpp"
 #include "core/linearize.hpp"
 #include "core/sort.hpp"
+#include "formats/layout.hpp"
 
 namespace artsparse {
 
@@ -151,110 +151,72 @@ void BcsrFormat::scan_box(const Box& box, CoordBuffer& points,
   }
 }
 
-void BcsrFormat::save(BufferWriter& out) const {
-  save_2d(out);
-  out.put_u64(point_count_);
-  out.put_u64_vec(block_row_ptr_);
-  out.put_u64_vec(block_col_);
-  out.put_u64_vec(block_bitmap_);
-  out.put_u64_vec(block_start_);
-}
-
-void BcsrFormat::load(BufferReader& in) {
-  load_2d(in);
-  point_count_ = in.get_u64();
-  block_row_ptr_ = in.get_u64_vec();
-  block_col_ = in.get_u64_vec();
-  block_bitmap_ = in.get_u64_vec();
-  block_start_ = in.get_u64_vec();
-  // lookup() indexes block_row_ptr_[row / 8 + 1]: block_row_ptr_ must
-  // have one entry per block row plus one.
-  require_tiling("BCSR 2-D shape without a local box",
-                 "BCSR local box rank does not match shape rank",
-                 "BCSR 2-D shape does not tile the local box");
-  const index_t n_block_rows = (rows_ + kBlockRows - 1) / kBlockRows;
-  detail::require(
-      block_row_ptr_.size() == static_cast<std::size_t>(n_block_rows) + 1,
-      "BCSR block_row_ptr length mismatch");
-  detail::require(block_col_.size() == block_bitmap_.size() &&
-                      block_col_.size() == block_start_.size(),
-                  "BCSR block arrays length mismatch");
-  detail::require(!block_row_ptr_.empty() &&
-                      block_row_ptr_.back() == block_col_.size(),
-                  "BCSR block_row_ptr does not cover blocks");
-  for (std::size_t r = 1; r < block_row_ptr_.size(); ++r) {
-    detail::require(block_row_ptr_[r - 1] <= block_row_ptr_[r],
-                    "BCSR block_row_ptr not monotone");
-  }
-  std::size_t running = 0;
-  for (std::size_t b = 0; b < block_bitmap_.size(); ++b) {
-    detail::require(block_start_[b] == running,
-                    "BCSR block_start inconsistent with bitmaps");
-    running += static_cast<std::size_t>(std::popcount(block_bitmap_[b]));
-  }
-  detail::require(running == point_count_,
-                  "BCSR bitmap popcount does not match point count");
-}
-
-void BcsrFormat::check_invariants(check::Issues& issues) const {
-  if (rows_ == 0 && block_row_ptr_.empty() && block_col_.empty() &&
-      block_bitmap_.empty() && block_start_.empty()) {
-    return;  // default-constructed / empty index
-  }
+void BcsrFormat::declare(IndexLayout& layout) {
+  declare_mapping(layout, "bcsr.box.rank", "bcsr.box.tiling");
+  layout.scalar(point_count_);
+  layout.array(block_row_ptr_);
+  layout.array(block_col_);
+  layout.array(block_bitmap_);
+  layout.array(block_start_);
+  // lookup() indexes block_row_ptr_[row / 8 + 1], then the block arrays
+  // through it, and counts a slot from its block's start.
   const index_t n_block_rows = (rows_ + kBlockRows - 1) / kBlockRows;
   const index_t n_block_cols = (cols_ + kBlockCols - 1) / kBlockCols;
-  if (block_row_ptr_.size() != static_cast<std::size_t>(n_block_rows) + 1 ||
-      !std::is_sorted(block_row_ptr_.begin(), block_row_ptr_.end()) ||
-      block_row_ptr_.back() != block_col_.size() ||
-      block_col_.size() != block_bitmap_.size() ||
-      block_col_.size() != block_start_.size()) {
-    issues.add("bcsr.structure",
-               "block_row_ptr does not partition the block arrays");
-    return;
-  }
-  for (index_t br = 0; br < n_block_rows; ++br) {
-    const std::size_t begin = block_row_ptr_[static_cast<std::size_t>(br)];
-    const std::size_t end = block_row_ptr_[static_cast<std::size_t>(br) + 1];
-    for (std::size_t b = begin; b < end; ++b) {
-      if (block_col_[b] >= n_block_cols) {
-        issues.add("bcsr.block_col.range",
-                   "block " + std::to_string(b) + " column " +
-                       std::to_string(block_col_[b]) + " >= " +
-                       std::to_string(n_block_cols));
-        return;
+  layout.pointers("bcsr.structure", block_row_ptr_, n_block_rows,
+                  block_col_.size());
+  layout.equal("bcsr.structure", block_bitmap_.size(), block_col_.size());
+  layout.equal("bcsr.structure", block_start_.size(), block_col_.size());
+  layout.structural("bcsr.structure", [&]() -> std::string {
+    index_t running = 0;
+    for (std::size_t b = 0; b < block_bitmap_.size(); ++b) {
+      if (block_start_[b] != running) {
+        return "block " + std::to_string(b) + " starts at slot " +
+               std::to_string(block_start_[b]) + ", not " +
+               std::to_string(running);
       }
-      // find_block() binary-searches block columns within a block row.
-      if (b > begin && block_col_[b - 1] >= block_col_[b]) {
-        issues.add("bcsr.block_col.sorted",
-                   "block row " + std::to_string(br) +
-                       " columns are not strictly ascending");
-        return;
-      }
-      if (block_bitmap_[b] == 0) {
-        issues.add("bcsr.bitmap.empty",
-                   "block " + std::to_string(b) + " stores no points");
-        return;
-      }
-      // Edge blocks may overhang the 2-D shape; occupied cells must not.
-      index_t bitmap = block_bitmap_[b];
-      while (bitmap != 0) {
-        const int bit = std::countr_zero(bitmap);
-        bitmap &= bitmap - 1;
-        const index_t row =
-            br * kBlockRows + static_cast<index_t>(bit) / kBlockCols;
-        const index_t col = block_col_[b] * kBlockCols +
-                            static_cast<index_t>(bit) % kBlockCols;
-        if (row >= rows_ || col >= cols_) {
-          issues.add("bcsr.bitmap.in_shape",
-                     "block " + std::to_string(b) + " occupies cell (" +
-                         std::to_string(row) + ", " + std::to_string(col) +
-                         ") outside " + std::to_string(rows_) + "x" +
-                         std::to_string(cols_));
-          return;
+      running += static_cast<index_t>(std::popcount(block_bitmap_[b]));
+    }
+    if (running == point_count_) return {};
+    return "bitmaps hold " + std::to_string(running) + " points, not " +
+           std::to_string(point_count_);
+  });
+
+  layout.bounded("bcsr.block_col.range", block_col_, n_block_cols);
+  // find_block() binary-searches block columns within a block row.
+  layout.sorted_within("bcsr.block_col.sorted", block_col_, block_row_ptr_,
+                       Order::kStrictlyAscending);
+  layout.deep("bcsr.bitmap.empty", [&]() -> std::string {
+    const auto it = std::find(block_bitmap_.begin(), block_bitmap_.end(), 0);
+    if (it == block_bitmap_.end()) return {};
+    return "block " + std::to_string(it - block_bitmap_.begin()) +
+           " stores no points";
+  });
+  // Edge blocks may overhang the 2-D shape; occupied cells must not. A
+  // block past the last block column is bcsr.block_col.range's witness.
+  layout.deep("bcsr.bitmap.in_shape", [&]() -> std::string {
+    for (index_t br = 0; br < n_block_rows; ++br) {
+      for (std::size_t b = block_row_ptr_[br]; b < block_row_ptr_[br + 1];
+           ++b) {
+        if (block_col_[b] >= n_block_cols) continue;
+        index_t bitmap = block_bitmap_[b];
+        while (bitmap != 0) {
+          const int bit = std::countr_zero(bitmap);
+          bitmap &= bitmap - 1;
+          const index_t row =
+              br * kBlockRows + static_cast<index_t>(bit) / kBlockCols;
+          const index_t col = block_col_[b] * kBlockCols +
+                              static_cast<index_t>(bit) % kBlockCols;
+          if (row >= rows_ || col >= cols_) {
+            return "block " + std::to_string(b) + " occupies cell (" +
+                   std::to_string(row) + ", " + std::to_string(col) +
+                   ") outside " + std::to_string(rows_) + "x" +
+                   std::to_string(cols_);
+          }
         }
       }
     }
-  }
+    return {};
+  });
 }
 
 }  // namespace artsparse

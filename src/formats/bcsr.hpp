@@ -42,11 +42,6 @@ class BcsrFormat final : public Mapped2DFormat {
   void scan_box(const Box& box, CoordBuffer& points,
                 std::vector<std::size_t>& slots) const override;
 
-  void save(BufferWriter& out) const override;
-  void load(BufferReader& in) override;
-
-  void check_invariants(check::Issues& issues) const override;
-
   std::size_t point_count() const override { return point_count_; }
 
   /// Structure accessors (tests).
@@ -55,12 +50,15 @@ class BcsrFormat final : public Mapped2DFormat {
   std::span<const index_t> block_col() const { return block_col_; }
   std::span<const index_t> block_bitmap() const { return block_bitmap_; }
 
+ protected:
+  void declare(IndexLayout& layout) override;
+
  private:
   /// Finds the block (block_row, block_col); returns its index in
   /// block_col_/bitmap_, or kNotFound.
   std::size_t find_block(index_t block_row, index_t block_col) const;
 
-  std::size_t point_count_ = 0;
+  index_t point_count_ = 0;
   std::vector<index_t> block_row_ptr_;  ///< #blockrows + 1
   std::vector<index_t> block_col_;      ///< per non-empty block
   std::vector<index_t> block_bitmap_;   ///< per non-empty block

@@ -61,15 +61,12 @@ class Mapped2DFormat : public SparseFormat {
                            });
   }
 
-  /// The mapping's index prefix: shape | box flag + lo + hi | rows | cols.
-  void save_2d(BufferWriter& out) const;
-  void load_2d(BufferReader& in);
-
-  /// to_2d() divides addresses by cols_, so a loaded 2-D shape must exactly
-  /// tile the local box's address space. Throws FormatError with the
-  /// message for the failed check.
-  void require_tiling(const char* without_box, const char* box_rank,
-                      const char* not_tiling) const;
+  /// Declares the mapping's index prefix, shape | box | rows | cols, and
+  /// its structural rules: a box of the shape's rank, and a 2-D shape that
+  /// exactly tiles the box's address space (to_2d() divides addresses by
+  /// cols_), or 0 x 0 without a box.
+  void declare_mapping(IndexLayout& layout, const char* box_rank_rule,
+                       const char* tiling_rule);
 
   Shape shape_;
   Box local_box_;
@@ -99,14 +96,11 @@ class Compressed2DFormat : public Mapped2DFormat {
   void scan_box(const Box& box, CoordBuffer& points,
                 std::vector<std::size_t>& slots) const override;
 
-  void save(BufferWriter& out) const override;
-  void load(BufferReader& in) override;
-
-  void check_invariants(check::Issues& issues) const override;
-
   std::size_t point_count() const override { return ind_.size(); }
 
  protected:
+  void declare(IndexLayout& layout) override;
+
   /// Number of major lines (rows of GCSR++, columns of GCSC++).
   index_t lines() const { return Axis == MajorAxis::kRows ? rows_ : cols_; }
 

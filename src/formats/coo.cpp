@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "check/issues.hpp"
+#include "formats/layout.hpp"
 
 namespace artsparse {
 
@@ -46,41 +46,13 @@ void CooFormat::scan_box(const Box& box, CoordBuffer& points,
   }
 }
 
-void CooFormat::save(BufferWriter& out) const {
-  out.put_u64_vec(shape_.extents());
-  out.put_u64(coords_.rank());
-  out.put_u64_vec(coords_.flat());
-}
-
-void CooFormat::load(BufferReader& in) {
-  shape_ = Shape(in.get_u64_vec());
-  const std::size_t rank = in.get_u64();
-  auto flat = in.get_u64_vec();
-  detail::require(rank == 0 ? flat.empty() : rank == shape_.rank(),
-                  "COO coordinate rank does not match shape rank");
-  coords_ = rank == 0 ? CoordBuffer() : CoordBuffer(rank, std::move(flat));
-}
-
-void CooFormat::check_invariants(check::Issues& issues) const {
-  if (!coords_.empty() && coords_.rank() != shape_.rank()) {
-    issues.add("coo.rank",
-               "coordinate rank " + std::to_string(coords_.rank()) +
-                   " != shape rank " + std::to_string(shape_.rank()));
-    return;  // per-coordinate checks would index the wrong extents
+void CooFormat::declare(IndexLayout& layout) {
+  layout.shape(shape_);
+  layout.coords(coords_);
+  if (coords_.rank() != 0) {
+    layout.equal("coo.rank", coords_.rank(), shape_.rank());
   }
-  for (std::size_t i = 0; i < coords_.size(); ++i) {
-    const auto p = coords_.point(i);
-    for (std::size_t dim = 0; dim < p.size(); ++dim) {
-      if (p[dim] >= shape_.extent(dim)) {
-        issues.add("coo.coords.in_shape",
-                   "point " + std::to_string(i) + " dim " +
-                       std::to_string(dim) + " coordinate " +
-                       std::to_string(p[dim]) + " >= extent " +
-                       std::to_string(shape_.extent(dim)));
-        return;  // one witness is enough; avoid flooding on bulk corruption
-      }
-    }
-  }
+  layout.bounded("coo.coords.in_shape", coords_.flat(), shape_.extents());
 }
 
 }  // namespace artsparse

@@ -25,16 +25,14 @@ class CooFormat final : public SparseFormat {
   void scan_box(const Box& box, CoordBuffer& points,
                 std::vector<std::size_t>& slots) const override;
 
-  void save(BufferWriter& out) const override;
-  void load(BufferReader& in) override;
-
-  void check_invariants(check::Issues& issues) const override;
-
   std::size_t point_count() const override { return coords_.size(); }
   const Shape& tensor_shape() const override { return shape_; }
 
   /// Stored coordinates, in input order (COO never reorders).
   const CoordBuffer& coords() const { return coords_; }
+
+ protected:
+  void declare(IndexLayout& layout) override;
 
  private:
   Shape shape_;

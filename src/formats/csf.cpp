@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <numeric>
 
-#include "check/issues.hpp"
 #include "core/parallel.hpp"
 #include "core/sort.hpp"
 #include "core/timer.hpp"
+#include "formats/layout.hpp"
 
 namespace artsparse {
 
@@ -32,9 +32,9 @@ std::vector<std::size_t> CsfFormat::build(const CoordBuffer& coords,
   const Box box = Box::bounding(coords);
   const Shape local = box.shape();
   dim_order_.resize(d);
-  std::iota(dim_order_.begin(), dim_order_.end(), std::size_t{0});
+  std::iota(dim_order_.begin(), dim_order_.end(), index_t{0});
   std::stable_sort(dim_order_.begin(), dim_order_.end(),
-                   [&](std::size_t a, std::size_t b) {
+                   [&](index_t a, index_t b) {
                      return local.extent(a) < local.extent(b);
                    });
 
@@ -146,7 +146,7 @@ namespace {
 struct CsfScanner {
   const std::vector<std::vector<index_t>>& fids;
   const std::vector<std::vector<index_t>>& fptr;
-  const std::vector<std::size_t>& dim_order;
+  const std::vector<index_t>& dim_order;
   const Box& box;
   CoordBuffer& points;
   std::vector<std::size_t>& slots;
@@ -194,133 +194,50 @@ std::size_t CsfFormat::index_words() const {
   return words;
 }
 
-void CsfFormat::save(BufferWriter& out) const {
-  out.put_u64_vec(shape_.extents());
-  std::vector<index_t> order(dim_order_.begin(), dim_order_.end());
-  out.put_u64_vec(order);
-  out.put_u64_vec(nfibs_);
-  out.put_u64(fids_.size());
-  for (const auto& level : fids_) out.put_u64_vec(level);
-  out.put_u64(fptr_.size());
-  for (const auto& level : fptr_) out.put_u64_vec(level);
-}
-
-void CsfFormat::load(BufferReader& in) {
-  shape_ = Shape(in.get_u64_vec());
-  const auto order = in.get_u64_vec();
-  dim_order_.assign(order.begin(), order.end());
-  nfibs_ = in.get_u64_vec();
-  // Level counts come from untrusted bytes: every level costs at least a
-  // length prefix, so bound them by the remaining payload before
-  // allocating.
-  const std::uint64_t fid_levels = in.get_u64();
-  detail::require(fid_levels <= in.remaining() / sizeof(std::uint64_t),
-                  "CSF level count exceeds payload size");
-  fids_.assign(fid_levels, {});
-  for (auto& level : fids_) level = in.get_u64_vec();
-  const std::uint64_t fptr_levels = in.get_u64();
-  detail::require(fptr_levels <= in.remaining() / sizeof(std::uint64_t) + 1,
-                  "CSF fptr level count exceeds payload size");
-  fptr_.assign(fptr_levels, {});
-  for (auto& level : fptr_) level = in.get_u64_vec();
-
-  detail::require(fids_.size() == nfibs_.size(),
-                  "CSF fids/nfibs level count mismatch");
-  detail::require(fids_.empty() || fptr_.size() + 1 == fids_.size(),
-                  "CSF fptr level count mismatch");
-  // lookup() walks one level per shape dimension, reading
-  // point[dim_order_[level]]: the tree must have exactly rank() levels and
-  // dim_order_ must be a permutation of the dimensions, or the descent
-  // indexes out of bounds.
-  detail::require(fids_.empty() || fids_.size() == shape_.rank(),
-                  "CSF level count does not match shape rank");
-  detail::require(dim_order_.size() == fids_.size(),
-                  "CSF dim_order length does not match level count");
-  std::vector<bool> seen(dim_order_.size(), false);
-  for (std::size_t dim : dim_order_) {
-    detail::require(dim < seen.size() && !seen[dim],
-                    "CSF dim_order is not a permutation of the dimensions");
-    seen[dim] = true;
+void CsfFormat::declare(IndexLayout& layout) {
+  layout.shape(shape_);
+  layout.array(dim_order_);
+  layout.array(nfibs_);
+  layout.levels(fids_);
+  layout.levels(fptr_);
+  // lookup() walks one level per dimension, reading
+  // point[dim_order_[level]] and each level through the fptr of the one
+  // above: a tree has exactly rank() levels and dim_order_ permutes the
+  // dimensions, or the tree is empty.
+  const std::size_t levels = fids_.size();
+  layout.equal("csf.levels", nfibs_.size(), levels);
+  layout.equal("csf.levels", dim_order_.size(), levels);
+  layout.equal("csf.levels", fptr_.size(), levels == 0 ? 0 : levels - 1);
+  if (levels != 0) layout.equal("csf.levels", levels, shape_.rank());
+  for (std::size_t level = 0; level < levels; ++level) {
+    layout.equal("csf.levels", fids_[level].size(), nfibs_[level]);
   }
-  for (std::size_t level = 0; level < fids_.size(); ++level) {
-    detail::require(fids_[level].size() == nfibs_[level],
-                    "CSF nfibs does not match fids length");
-    if (level + 1 < fids_.size()) {
-      detail::require(fptr_[level].size() == fids_[level].size() + 1,
-                      "CSF fptr length mismatch");
-      detail::require(fptr_[level].empty() ||
-                          fptr_[level].back() == fids_[level + 1].size(),
-                      "CSF fptr does not cover next level");
-      for (std::size_t k = 1; k < fptr_[level].size(); ++k) {
-        detail::require(fptr_[level][k - 1] <= fptr_[level][k],
-                        "CSF fptr not monotone");
+  layout.structural("csf.dim_order.range", [&]() -> std::string {
+    std::vector<bool> seen(levels, false);
+    for (const index_t dim : dim_order_) {
+      if (dim >= levels || seen[dim]) {
+        return "dimension " + std::to_string(dim) + " repeats or is past rank";
       }
+      seen[dim] = true;
     }
+    return {};
+  });
+  for (std::size_t level = 0; level + 1 < levels; ++level) {
+    layout.pointers("csf.fptr", fptr_[level], fids_[level].size(),
+                    fids_[level + 1].size());
   }
-}
 
-void CsfFormat::check_invariants(check::Issues& issues) const {
-  if (fids_.empty()) return;
-  if (fids_.size() != shape_.rank() || dim_order_.size() != fids_.size() ||
-      fptr_.size() + 1 != fids_.size()) {
-    issues.add("csf.levels",
-               "tree has " + std::to_string(fids_.size()) +
-                   " levels, dim_order " + std::to_string(dim_order_.size()) +
-                   ", fptr " + std::to_string(fptr_.size()) + " for rank " +
-                   std::to_string(shape_.rank()));
-    return;
-  }
-  // Validate the fptr structure before using it to delimit fiber ranges:
-  // the sortedness sweep below indexes fids_[level] through these offsets.
-  for (std::size_t level = 0; level + 1 < fids_.size(); ++level) {
-    const auto& ptr = fptr_[level];
-    const bool shaped = ptr.size() == fids_[level].size() + 1 &&
-                        !ptr.empty() && ptr.back() == fids_[level + 1].size();
-    if (!shaped || !std::is_sorted(ptr.begin(), ptr.end())) {
-      issues.add("csf.fptr",
-                 "level " + std::to_string(level) +
-                     " fptr does not partition the next level");
-      return;
-    }
-  }
-  for (std::size_t level = 0; level < fids_.size(); ++level) {
-    const std::size_t dim = dim_order_[level];
-    if (dim >= shape_.rank()) {
-      issues.add("csf.dim_order.range",
-                 "dim_order[" + std::to_string(level) + "] = " +
-                     std::to_string(dim) + " >= rank " +
-                     std::to_string(shape_.rank()));
-      return;
-    }
-    for (index_t fid : fids_[level]) {
-      if (fid >= shape_.extent(dim)) {
-        issues.add("csf.fids.in_shape",
-                   "level " + std::to_string(level) + " coordinate " +
-                       std::to_string(fid) + " >= extent " +
-                       std::to_string(shape_.extent(dim)));
-        break;
-      }
-    }
-    // lookup() binary-searches each fiber's child range: coordinates must
-    // be sorted within every range (duplicates occur only at the leaves,
-    // where duplicate input points keep their own slots).
-    const auto& ids = fids_[level];
-    bool sorted = true;
+  // lookup() binary-searches each fiber's child range: coordinates are
+  // sorted within every range (duplicates occur only at the leaves, where
+  // duplicate input points keep their own slots).
+  for (std::size_t level = 0; level < levels; ++level) {
+    layout.bounded("csf.fids.in_shape", fids_[level],
+                   shape_.extent(dim_order_[level]));
     if (level == 0) {
-      sorted = std::is_sorted(ids.begin(), ids.end());
+      layout.sorted("csf.fids.sorted", fids_[0], Order::kAscending);
     } else {
-      const auto& parents = fptr_[level - 1];
-      for (std::size_t f = 0; f + 1 < parents.size() && sorted; ++f) {
-        const auto begin =
-            ids.begin() + static_cast<std::ptrdiff_t>(parents[f]);
-        const auto end =
-            ids.begin() + static_cast<std::ptrdiff_t>(parents[f + 1]);
-        sorted = std::is_sorted(begin, end);
-      }
-    }
-    if (!sorted) {
-      issues.add("csf.fids.sorted", "level " + std::to_string(level) +
-                                        " fiber coordinates are not sorted");
+      layout.sorted_within("csf.fids.sorted", fids_[level],
+                           fptr_[level - 1], Order::kAscending);
     }
   }
 }

@@ -34,11 +34,6 @@ class CsfFormat final : public SparseFormat {
   void scan_box(const Box& box, CoordBuffer& points,
                 std::vector<std::size_t>& slots) const override;
 
-  void save(BufferWriter& out) const override;
-  void load(BufferReader& in) override;
-
-  void check_invariants(check::Issues& issues) const override;
-
   std::size_t point_count() const override {
     return fids_.empty() ? 0 : fids_.back().size();
   }
@@ -48,17 +43,20 @@ class CsfFormat final : public SparseFormat {
   std::span<const index_t> nfibs() const { return nfibs_; }
   const std::vector<std::vector<index_t>>& fids() const { return fids_; }
   const std::vector<std::vector<index_t>>& fptr() const { return fptr_; }
-  std::span<const std::size_t> dim_order() const { return dim_order_; }
+  std::span<const index_t> dim_order() const { return dim_order_; }
 
   /// Total index words stored (sum of nfibs + fptr lengths); the quantity
   /// whose spread between O(n+d) and O(n*d) drives CSF's Fig.-4 variance.
   std::size_t index_words() const;
 
+ protected:
+  void declare(IndexLayout& layout) override;
+
  private:
   Shape shape_;
   /// Permutation of dimensions: dim_order_[level] = original dimension
   /// stored at that tree level (ascending local extent).
-  std::vector<std::size_t> dim_order_;
+  std::vector<index_t> dim_order_;
   std::vector<index_t> nfibs_;               ///< d entries
   std::vector<std::vector<index_t>> fids_;   ///< d levels
   std::vector<std::vector<index_t>> fptr_;   ///< d-1 levels

@@ -2,6 +2,7 @@
 
 #include "check/issues.hpp"
 #include "core/types.hpp"
+#include "formats/layout.hpp"
 
 namespace artsparse {
 
@@ -12,6 +13,23 @@ std::vector<std::size_t> SparseFormat::read(const CoordBuffer& queries) const {
     slots.push_back(lookup(queries.point(i)));
   }
   return slots;
+}
+
+// Saving and checking only read the fields declare() names.
+void SparseFormat::save(BufferWriter& out) const {
+  IndexLayout layout(out);
+  const_cast<SparseFormat*>(this)->declare(layout);
+}
+
+void SparseFormat::load(BufferReader& in) {
+  IndexLayout layout(in);
+  declare(layout);
+  detail::require(in.exhausted(), "serialized index has trailing bytes");
+}
+
+void SparseFormat::check_invariants(check::Issues& issues) const {
+  IndexLayout layout(issues);
+  const_cast<SparseFormat*>(this)->declare(layout);
 }
 
 void SparseFormat::validate() const {

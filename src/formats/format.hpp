@@ -22,6 +22,7 @@ namespace artsparse {
 namespace check {
 class Issues;  // check/issues.hpp
 }
+class IndexLayout;  // formats/layout.hpp
 
 /// Sentinel slot for "point not present".
 inline constexpr std::size_t kNotFound = std::numeric_limits<std::size_t>::max();
@@ -72,15 +73,17 @@ class SparseFormat {
   /// Serializes the index (the concatenated buffer `b` of Algorithms 1-2,
   /// plus whatever transform state reads need). Self-contained: load()
   /// on a fresh instance fully reconstructs the format.
-  virtual void save(BufferWriter& out) const = 0;
-  virtual void load(BufferReader& in) = 0;
+  void save(BufferWriter& out) const;
+  /// Reads all of `in`, as save() wrote it. Throws FormatError on leftover
+  /// bytes, a flag other than 0 or 1, or the first structural rule broken
+  /// ("<rule id>: ...").
+  void load(BufferReader& in);
 
-  /// Deep structural self-check: appends one Issue per violated invariant
-  /// (monotone offsets, sorted fibers, in-shape coordinates, consistent
-  /// fiber trees, ...). O(n) or worse — run by paranoid loads and by
-  /// `artsparse check`, not on the default hot path. A format that passes
-  /// build() or a trusted load() must come out clean.
-  virtual void check_invariants(check::Issues& issues) const = 0;
+  /// Deep self-check: appends one Issue per deep rule broken (in-shape
+  /// coordinates, sorted fibers, ...). O(n) or worse — run by paranoid
+  /// loads and by `artsparse check`, not on the default hot path. A format
+  /// that passes build() must come out clean.
+  void check_invariants(check::Issues& issues) const;
 
   /// Runs check_invariants() and throws FormatError when anything failed.
   void validate() const;
@@ -109,6 +112,11 @@ class SparseFormat {
 
  protected:
   SparseFormat() = default;
+
+  /// The index's one declaration, which save(), load() and
+  /// check_invariants() run: its fields in file order, then their
+  /// relations, each under its rule id (formats/layout.hpp).
+  virtual void declare(IndexLayout& layout) = 0;
 
   /// Set by sorting formats' build() around their permutation stage.
   double build_sort_seconds_ = 0.0;

@@ -36,11 +36,6 @@ class LinearFormat final : public SparseFormat {
   void scan_box(const Box& box, CoordBuffer& points,
                 std::vector<std::size_t>& slots) const override;
 
-  void save(BufferWriter& out) const override;
-  void load(BufferReader& in) override;
-
-  void check_invariants(check::Issues& issues) const override;
-
   std::size_t point_count() const override { return addresses_.size(); }
   const Shape& tensor_shape() const override { return shape_; }
 
@@ -48,6 +43,9 @@ class LinearFormat final : public SparseFormat {
 
   /// Stored linear addresses, in input order.
   std::span<const index_t> addresses() const { return addresses_; }
+
+ protected:
+  void declare(IndexLayout& layout) override;
 
  private:
   /// Address of `point` under the configured addressing, or kNotFound-like

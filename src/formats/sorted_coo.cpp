@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
-#include "check/issues.hpp"
 #include "core/linearize.hpp"
 #include "core/sort.hpp"
 #include "core/timer.hpp"
+#include "formats/layout.hpp"
 
 namespace artsparse {
 
@@ -82,56 +82,27 @@ void SortedCooFormat::scan_box(const Box& box, CoordBuffer& points,
   }
 }
 
-void SortedCooFormat::save(BufferWriter& out) const {
-  out.put_u64_vec(shape_.extents());
-  out.put_u64(coords_.rank());
-  out.put_u64_vec(coords_.flat());
-}
-
-void SortedCooFormat::load(BufferReader& in) {
-  shape_ = Shape(in.get_u64_vec());
-  const std::size_t rank = in.get_u64();
-  auto flat = in.get_u64_vec();
-  detail::require(rank == 0 ? flat.empty() : rank == shape_.rank(),
-                  "sorted-COO coordinate rank does not match shape rank");
-  coords_ = rank == 0 ? CoordBuffer() : CoordBuffer(rank, std::move(flat));
-}
-
-void SortedCooFormat::check_invariants(check::Issues& issues) const {
-  if (!coords_.empty() && coords_.rank() != shape_.rank()) {
-    issues.add("sorted_coo.rank",
-               "coordinate rank " + std::to_string(coords_.rank()) +
-                   " != shape rank " + std::to_string(shape_.rank()));
-    return;
+void SortedCooFormat::declare(IndexLayout& layout) {
+  layout.shape(shape_);
+  layout.coords(coords_);
+  if (coords_.rank() != 0) {
+    layout.equal("sorted_coo.rank", coords_.rank(), shape_.rank());
   }
-  bool coord_witness = false;
-  for (std::size_t i = 0; i < coords_.size() && !coord_witness; ++i) {
-    const auto p = coords_.point(i);
-    for (std::size_t dim = 0; dim < p.size(); ++dim) {
-      if (p[dim] >= shape_.extent(dim)) {
-        issues.add("sorted_coo.coords.in_shape",
-                   "point " + std::to_string(i) + " dim " +
-                       std::to_string(dim) + " coordinate " +
-                       std::to_string(p[dim]) + " >= extent " +
-                       std::to_string(shape_.extent(dim)));
-        coord_witness = true;
-        break;
-      }
-    }
-  }
+  layout.bounded("sorted_coo.coords.in_shape", coords_.flat(), shape_.extents());
   // lookup() and scan_box() binary-search on lexicographic order; an
   // out-of-order pair silently turns present points into misses.
-  for (std::size_t i = 1; i < coords_.size(); ++i) {
-    const auto a = coords_.point(i - 1);
-    const auto b = coords_.point(i);
-    if (std::lexicographical_compare(b.begin(), b.end(), a.begin(),
-                                     a.end())) {
-      issues.add("sorted_coo.order",
-                 "points " + std::to_string(i - 1) + " and " +
-                     std::to_string(i) + " are out of lexicographic order");
-      break;
+  layout.deep("sorted_coo.order", [&]() -> std::string {
+    for (std::size_t i = 1; i < coords_.size(); ++i) {
+      const auto a = coords_.point(i - 1);
+      const auto b = coords_.point(i);
+      if (std::lexicographical_compare(b.begin(), b.end(), a.begin(),
+                                       a.end())) {
+        return "points " + std::to_string(i - 1) + " and " +
+               std::to_string(i) + " are out of lexicographic order";
+      }
     }
-  }
+    return {};
+  });
 }
 
 }  // namespace artsparse

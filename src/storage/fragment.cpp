@@ -28,7 +28,7 @@ FragmentInfo read_header(BufferReader& reader) {
                       static_cast<std::uint8_t>(CodecKind::kDeltaVarint),
                   "fragment has unknown codec kind");
   info.shape = Shape(reader.get_u64_vec());
-  if (reader.get_u8() != 0) {
+  if (reader.get_flag()) {
     auto lo = reader.get_u64_vec();
     auto hi = reader.get_u64_vec();
     info.bbox = Box(std::move(lo), std::move(hi));
@@ -107,16 +107,19 @@ Bytes encode_fragment(FragmentInfo& info, const SparseFormat& format,
                          [&](BufferWriter& out) { format.save(out); });
 }
 
-FragmentView view_fragment(std::span<const std::byte> data) {
+FragmentView view_fragment(std::span<const std::byte> data,
+                           Checksum checksum) {
   detail::require(data.size() > sizeof(std::uint32_t),
                   "fragment file too small");
   const std::size_t body_size = data.size() - sizeof(std::uint32_t);
 
   // Verify the trailing checksum before trusting any lengths.
-  BufferReader crc_reader(data.subspan(body_size));
-  const std::uint32_t stored_crc = crc_reader.get_u32();
-  detail::require(crc32(data.subspan(0, body_size)) == stored_crc,
-                  "fragment checksum mismatch (corrupt file)");
+  if (checksum == Checksum::kVerify) {
+    BufferReader crc_reader(data.subspan(body_size));
+    const std::uint32_t stored_crc = crc_reader.get_u32();
+    detail::require(crc32(data.subspan(0, body_size)) == stored_crc,
+                    "fragment checksum mismatch (corrupt file)");
+  }
 
   BufferReader reader(data.subspan(0, body_size));
   FragmentView view;

@@ -62,9 +62,16 @@ struct FragmentView {
 Bytes encode_fragment(FragmentInfo& info, const SparseFormat& format,
                       std::span<const value_t> values);
 
+/// Whether view_fragment() computes the trailing checksum itself.
+enum class Checksum {
+  kVerify,    ///< CRC the body and throw FormatError on a mismatch
+  kVerified,  ///< the caller already has: skip the second pass
+};
+
 /// Verifies the checksum and parses the header and section lengths,
 /// copying nothing.
-FragmentView view_fragment(std::span<const std::byte> data);
+FragmentView view_fragment(std::span<const std::byte> data,
+                           Checksum checksum = Checksum::kVerify);
 
 /// Parses only the header.
 FragmentInfo decode_fragment_info(std::span<const std::byte> data);

@@ -92,6 +92,12 @@ class BufferReader {
     get_raw(&v, 1);
     return v;
   }
+  /// A u8 that must be 0 or 1, so that a re-save writes the same byte.
+  bool get_flag() {
+    const std::uint8_t v = get_u8();
+    detail::require(v <= 1, "serialized flag is neither 0 nor 1");
+    return v == 1;
+  }
   std::uint32_t get_u32() { return get_pod<std::uint32_t>(); }
   std::uint64_t get_u64() { return get_pod<std::uint64_t>(); }
   double get_f64() { return get_pod<double>(); }
