@@ -12,7 +12,7 @@
 namespace artsparse::check {
 
 /// One violated invariant. `rule` is a stable machine-readable identifier
-/// ("gcsr.row_ptr.monotone"); `detail` is the human-readable specifics.
+/// ("gcsr.col_ind.range"); `detail` is the human-readable specifics.
 struct Issue {
   std::string rule;
   std::string detail;
